@@ -153,6 +153,33 @@ def init_params(vocab: Vocabulary, d: int, rng: np.random.Generator,
                        norm_order=norm_order, bounded=bounded)
 
 
+def _box_shape(lo: np.ndarray, hi: np.ndarray):
+    """Center, width plus one and boundary offset kappa of boxes [lo, hi]."""
+    c = (lo + hi) / 2.0
+    w = hi - lo + 1.0
+    kappa = 0.5 * (w - 1.0) * (w - 1.0 / w)
+    return c, w, kappa
+
+
+def _distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
+              w: np.ndarray, kappa: np.ndarray, per_dim: bool):
+    """Element-wise distance of points ``x`` (..., d) to one box.
+
+    Returns (dv, z, t, branch): the distance vector, the offset z = x - c,
+    t = |z| and the inside-branch mask (per coordinate with ``per_dim``,
+    else one flag per point, broadcastable against ``x``).  This is the only
+    place the piecewise distance is written.
+    """
+    z = x - c
+    t = np.abs(z)
+    inside_dim = (lo <= x) & (x <= hi)
+    branch = inside_dim if per_dim else inside_dim.all(axis=-1, keepdims=True)
+    dv = t * w
+    dv -= kappa
+    np.divide(t, w, out=dv, where=branch)
+    return dv, z, t, branch
+
+
 def dist(point: np.ndarray, box: Box, per_dim: bool = False) -> np.ndarray:
     """Element-wise distance between a point and a box.
 
@@ -163,29 +190,21 @@ def dist(point: np.ndarray, box: Box, per_dim: bool = False) -> np.ndarray:
     p = np.asarray(point, dtype=np.float64)
     if p.shape != box.lower.shape:
         raise ValueError("point dimensionality does not match box")
-    c = (box.lower + box.upper) / 2.0
-    w = box.upper - box.lower + 1.0
-    kappa = 0.5 * (w - 1.0) * (w - 1.0 / w)
-    t = np.abs(p - c)
-    inside_dim = (box.lower <= p) & (p <= box.upper)
-    branch = inside_dim if per_dim else bool(inside_dim.all())
-    return np.where(branch, t / w, t * w - kappa)
+    return _distance(p, box.lower, box.upper, *_box_shape(box.lower, box.upper),
+                     per_dim)[0]
 
 
 def final_embedding(params: ModelParams, fact: Fact) -> np.ndarray:
     """Per-position final points of a fact, after bounding; shape (arity, d)."""
-    pts, _ = _final_points(params, np.array([fact.entities], dtype=np.int64))
-    return pts[0]
+    return _final_points(params, np.array([fact.entities], dtype=np.int64))[0]
 
 
-def _final_points(params: ModelParams, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, n) entity ids -> (points, raw) arrays of shape (B, n, d)."""
-    base = params.entity_base[ents]
+def _final_points(params: ModelParams, ents: np.ndarray) -> np.ndarray:
+    """(B, n) entity ids -> bounded final points of shape (B, n, d)."""
     bump = params.entity_bump[ents]
-    total = bump.sum(axis=1, keepdims=True)
-    raw = (base - bump) + total
-    pts = np.tanh(raw) if params.bounded else raw
-    return pts, raw
+    pts = params.entity_base[ents] - bump
+    pts += bump.sum(axis=1, keepdims=True)
+    return np.tanh(pts, out=pts) if params.bounded else pts
 
 
 def _box_tensors(params: ModelParams, relation: int):
@@ -196,30 +215,44 @@ def _box_tensors(params: ModelParams, relation: int):
         lo, hi = np.tanh(lo_raw), np.tanh(hi_raw)
     else:
         lo, hi = lo_raw, hi_raw
-    c = (lo + hi) / 2.0
-    w = hi - lo + 1.0
-    kappa = 0.5 * (w - 1.0) * (w - 1.0 / w)
-    a_is_min = a <= b
-    return slots, lo, hi, c, w, kappa, a_is_min
+    return (slots, lo, hi, *_box_shape(lo, hi), a <= b)
+
+
+@dataclass
+class ForwardCache:
+    """What ``backward`` needs from ``forward``: the scored rows, their final
+    points (B, n, d) and per-position norms (B, n).  Everything else is
+    recomputed one position at a time, on (B, d) slices, to keep memory low.
+    """
+    relation: int
+    ents: np.ndarray
+    points: np.ndarray
+    norms: np.ndarray
+
+
+def forward(params: ModelParams, relation: int, ents: np.ndarray
+            ) -> tuple[np.ndarray, ForwardCache]:
+    """Scores of a batch of same-relation facts given as a (B, n) id array."""
+    ents = np.asarray(ents, dtype=np.int64)
+    pts = _final_points(params, ents)
+    _, lo, hi, c, w, kappa, _ = _box_tensors(params, relation)
+    B, n = ents.shape
+    norms = np.empty((B, n), dtype=np.float64)
+    total = np.zeros(B, dtype=np.float64)
+    for p in range(n):
+        dv = _distance(pts[:, p, :], lo[p], hi[p], c[p], w[p], kappa[p],
+                       params.per_dim_branch)[0]
+        if params.norm_order == 1:
+            norms[:, p] = np.abs(dv).sum(axis=1)
+        else:
+            norms[:, p] = np.sqrt((dv * dv).sum(axis=1))
+        total += norms[:, p]
+    return total, ForwardCache(relation, ents, pts, norms)
 
 
 def score_batch(params: ModelParams, relation: int, ents: np.ndarray) -> np.ndarray:
     """Scores for a batch of same-relation facts given as a (B, n) id array."""
-    ents = np.asarray(ents, dtype=np.int64)
-    pts, _ = _final_points(params, ents)
-    _, lo, hi, c, w, kappa, _ = _box_tensors(params, relation)
-    total = np.zeros(ents.shape[0], dtype=np.float64)
-    for p in range(ents.shape[1]):
-        x = pts[:, p, :]
-        t = np.abs(x - c[p])
-        inside_dim = (lo[p] <= x) & (x <= hi[p])
-        branch = inside_dim if params.per_dim_branch else inside_dim.all(axis=1, keepdims=True)
-        dv = np.where(branch, t / w[p], t * w[p] - kappa[p])
-        if params.norm_order == 1:
-            total += np.abs(dv).sum(axis=1)
-        else:
-            total += np.sqrt((dv * dv).sum(axis=1))
-    return total
+    return forward(params, relation, ents)[0]
 
 
 def score(params: ModelParams, fact: Fact) -> float:
@@ -241,53 +274,53 @@ class GradBuffer:
         self.bump_touched = np.zeros(params.entity_bump.shape[0], dtype=bool)
         self.box_touched = np.zeros(params.box_a.shape[0], dtype=bool)
 
-    def items(self):
-        for i in np.nonzero(self.base_touched)[0]:
-            yield ("base", int(i)), self.base[i]
-        for i in np.nonzero(self.bump_touched)[0]:
-            yield ("bump", int(i)), self.bump[i]
-        for s in np.nonzero(self.box_touched)[0]:
-            yield ("boxa", int(s)), self.boxa[s]
-            yield ("boxb", int(s)), self.boxb[s]
+    def touched_rows(self):
+        """(kind, rows, gradient rows) for each parameter table."""
+        for kind, grad, touched in (("base", self.base, self.base_touched),
+                                    ("bump", self.bump, self.bump_touched),
+                                    ("boxa", self.boxa, self.box_touched),
+                                    ("boxb", self.boxb, self.box_touched)):
+            rows = np.flatnonzero(touched)
+            yield kind, rows, grad[rows]
 
     def to_dict(self) -> GradMap:
-        return {key: vec.copy() for key, vec in self.items()}
+        return {(kind, int(i)): g for kind, rows, grads in self.touched_rows()
+                for i, g in zip(rows, grads)}
 
 
-def accumulate_score_gradients(params: ModelParams, relation: int, ents: np.ndarray,
-                               weights: np.ndarray, buf: GradBuffer) -> None:
-    """Add weighted score gradients for a batch of same-relation facts.
+def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
+             buf: GradBuffer) -> None:
+    """Add sum_b weights[b] * d(score_b)/d(params) into ``buf``.
 
-    ``weights`` holds one upstream d(loss)/d(score) factor per row.  Subgradient
-    conventions: boundary points take the inside branch, |z| contributes 0 at
-    z = 0, and the L2 norm has zero gradient at the origin.
+    ``weights`` holds one upstream d(loss)/d(score) factor per row of the
+    ``forward`` call that made ``cache``.  Subgradient conventions: boundary
+    points take the inside branch, |z| contributes 0 at z = 0, and the L2
+    norm has zero gradient at the origin.
     """
-    ents = np.asarray(ents, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
+    ents, pts = cache.ents, cache.points
     B, n = ents.shape
-    pts, _ = _final_points(params, ents)
-    slots, lo, hi, c, w, kappa, a_is_min = _box_tensors(params, relation)
+    slots, lo, hi, c, w, kappa, a_is_min = _box_tensors(params, cache.relation)
     g_raw = np.empty((B, n, params.d), dtype=np.float64)
     for p in range(n):
         x = pts[:, p, :]
-        z = x - c[p]
-        t = np.abs(z)
-        inside_dim = (lo[p] <= x) & (x <= hi[p])
-        branch = inside_dim if params.per_dim_branch else inside_dim.all(axis=1, keepdims=True)
-        branch = np.broadcast_to(branch, t.shape)
-        dv = np.where(branch, t / w[p], t * w[p] - kappa[p])
+        dv, z, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],
+                                     params.per_dim_branch)
         if params.norm_order == 1:
             g_dv = np.sign(dv)
+            g_dv *= weights[:, None]
         else:
-            s = np.sqrt((dv * dv).sum(axis=1, keepdims=True))
+            s = cache.norms[:, p]
             with np.errstate(invalid="ignore", divide="ignore"):
-                g_dv = np.where(s > 0.0, dv / s, 0.0)
-        g_dv = g_dv * weights[:, None]
-        # dD/dw: inside -t/w^2, outside t - kappa'(w) with kappa' = w - 1/2 - 1/(2 w^2)
-        kappa_p = w[p] - 0.5 - 0.5 / (w[p] * w[p])
-        g_t = g_dv * np.where(branch, 1.0 / w[p], w[p])
-        g_w = (g_dv * np.where(branch, -t / (w[p] * w[p]), t - kappa_p)).sum(axis=0)
-        g_z = g_t * np.sign(z)
+                g_dv = dv * np.where(s > 0.0, weights / s, 0.0)[:, None]
+        # d(dv)/dt is 1/w inside and w outside; d(dv)/dw is -t/w^2 inside
+        # and t - kappa'(w) outside, with kappa'(w) = w - 1/2 - 1/(2 w^2)
+        wp = w[p]
+        inv_w2 = 1.0 / (wp * wp)
+        kappa_p = wp - 0.5 - 0.5 * inv_w2
+        g_w = (g_dv * np.where(branch, t * -inv_w2, t - kappa_p)).sum(axis=0)
+        g_z = g_dv * np.where(branch, 1.0 / wp, wp)
+        g_z *= np.sign(z)
         g_c = -g_z.sum(axis=0)
         g_lo = 0.5 * g_c - g_w
         g_hi = 0.5 * g_c + g_w
@@ -295,29 +328,35 @@ def accumulate_score_gradients(params: ModelParams, relation: int, ents: np.ndar
             g_lo = g_lo * (1.0 - lo[p] * lo[p])
             g_hi = g_hi * (1.0 - hi[p] * hi[p])
         slot = int(slots[p])
-        g_a = np.where(a_is_min[p], g_lo, g_hi)
-        g_b = np.where(a_is_min[p], g_hi, g_lo)
-        buf.boxa[slot] += g_a
-        buf.boxb[slot] += g_b
+        buf.boxa[slot] += np.where(a_is_min[p], g_lo, g_hi)
+        buf.boxb[slot] += np.where(a_is_min[p], g_hi, g_lo)
         buf.box_touched[slot] = True
-        g_raw[:, p, :] = g_z * (1.0 - x * x) if params.bounded else g_z
-    # raw_p = base_p - bump_p + sum_q bump_q, so bump j collects every
-    # position's point gradient except its own.
-    g_total = g_raw.sum(axis=1)
-    for p in range(n):
-        idx = ents[:, p]
-        np.add.at(buf.base, idx, g_raw[:, p, :])
-        np.add.at(buf.bump, idx, g_total - g_raw[:, p, :])
-        buf.base_touched[idx] = True
-        buf.bump_touched[idx] = True
+        if params.bounded:
+            np.multiply(g_z, 1.0 - x * x, out=g_raw[:, p, :])
+        else:
+            g_raw[:, p, :] = g_z
+    # raw_p = base_p - bump_p + sum_q bump_q: each occurrence of an entity
+    # gives its base the point gradient of its position, and its bump the
+    # row's total point gradient less that same term.  Segment sums: a
+    # stable sort groups the occurrences of each entity, reduceat adds them.
+    flat = ents.ravel()
+    order = np.argsort(flat, kind="stable")
+    sorted_ids = flat[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    rows = sorted_ids[starts]
+    g_base = np.add.reduceat(g_raw.reshape(B * n, params.d)[order], starts, axis=0)
+    g_occ = np.add.reduceat(g_raw.sum(axis=1)[order // n], starts, axis=0)
+    buf.base[rows] += g_base
+    buf.bump[rows] += g_occ - g_base
+    buf.base_touched[rows] = True
+    buf.bump_touched[rows] = True
 
 
 def score_gradient(params: ModelParams, fact: Fact) -> GradMap:
     """Exact subgradient of score(fact) w.r.t. every parameter slot it touches."""
     buf = GradBuffer(params)
-    accumulate_score_gradients(params, fact.relation,
-                               np.array([fact.entities], dtype=np.int64),
-                               np.ones(1), buf)
+    _, cache = forward(params, fact.relation, np.array([fact.entities], dtype=np.int64))
+    backward(params, cache, np.ones(1), buf)
     return buf.to_dict()
 
 

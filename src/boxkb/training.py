@@ -10,9 +10,12 @@ a distance, the lowest-scoring corruptions are the hardest negatives and get
 the largest weights; temperature 0 gives uniform weights summing to 1.  The
 weights are treated as constants during differentiation.
 
-Batch gradients are plain sums over examples (the learning rate absorbs
-scale).  Adam moments live in per-slot dictionaries so that only parameter
-slots touched by a batch advance their moments and step counters.
+Each relation group of a batch is scored once: its positives and their
+corruptions go through one ``model.forward`` call and one ``model.backward``
+call.  Batch gradients are plain sums over examples (the learning rate
+absorbs scale).  Adam keeps dense first and second moments and a step
+counter per row of each parameter table; only rows touched by a batch
+advance their moments and step counters.
 
 All randomness derives from a single seed through named sub-streams; the
 shuffle stream is additionally keyed by epoch so changing the negative count
@@ -29,8 +32,7 @@ import numpy as np
 from scipy.special import expit, softmax
 
 from .kb import Fact, KnowledgeBase, Vocabulary
-from .model import (GradBuffer, GradMap, ModelParams, SlotKey,
-                    accumulate_score_gradients, score, score_batch)
+from .model import GradBuffer, GradMap, ModelParams, SlotKey, backward, forward, score
 
 STREAM_INIT = 1
 STREAM_NEGATIVES = 2
@@ -83,14 +85,52 @@ class TrainConfig:
 
 
 @dataclass
+class AdamMoments:
+    """Adam state of one parameter table: moments and a step count per row."""
+    m: np.ndarray      # (rows, d)
+    v: np.ndarray      # (rows, d)
+    steps: np.ndarray  # (rows,) int64
+
+
+class _SlotSteps:
+    """Read-only ``steps[(kind, row)]`` view of the per-row step counters."""
+
+    def __init__(self, tables: dict[str, AdamMoments]):
+        self._tables = tables
+
+    def __getitem__(self, key: SlotKey) -> int:
+        kind, row = key
+        return int(self._tables[kind].steps[row])
+
+
+@dataclass
 class OptimizerState:
-    """Sparse Adam: moments and step counters exist only for touched slots."""
+    """Sparse Adam: moments and step counters advance only for touched rows.
+
+    The per-table state is allocated on a table's first update.
+    """
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: dict[SlotKey, np.ndarray] = field(default_factory=dict)
-    v: dict[SlotKey, np.ndarray] = field(default_factory=dict)
-    steps: dict[SlotKey, int] = field(default_factory=dict)
+    tables: dict[str, AdamMoments] = field(default_factory=dict)
+
+    @property
+    def steps(self) -> _SlotSteps:
+        return _SlotSteps(self.tables)
+
+
+def _grad_rows(gradients: GradBuffer | GradMap):
+    """(kind, rows, gradient rows) per parameter table with touched rows."""
+    if isinstance(gradients, GradBuffer):
+        yield from gradients.touched_rows()
+        return
+    by_kind: dict[str, tuple[list[int], list[np.ndarray]]] = {}
+    for (kind, idx), g in gradients.items():
+        rows, grads = by_kind.setdefault(kind, ([], []))
+        rows.append(idx)
+        grads.append(g)
+    for kind, (rows, grads) in by_kind.items():
+        yield kind, np.array(rows, dtype=np.int64), np.array(grads, dtype=np.float64)
 
 
 def adam_update(opt: OptimizerState, params: ModelParams,
@@ -98,25 +138,32 @@ def adam_update(opt: OptimizerState, params: ModelParams,
     """One Adam step over exactly the slots present in ``gradients``."""
     arrays = {"base": params.entity_base, "bump": params.entity_bump,
               "boxa": params.box_a, "boxb": params.box_b}
-    items: Iterable[tuple[SlotKey, np.ndarray]]
-    items = gradients.items()
-    for key, g in items:
-        m = opt.m.get(key)
-        if m is None:
-            m = opt.m[key] = np.zeros_like(g)
-            opt.v[key] = np.zeros_like(g)
-            opt.steps[key] = 0
-        v = opt.v[key]
-        t = opt.steps[key] + 1
-        opt.steps[key] = t
+    for kind, rows, g in _grad_rows(gradients):
+        param = arrays[kind]
+        state = opt.tables.get(kind)
+        if state is None:
+            state = opt.tables[kind] = AdamMoments(
+                np.zeros_like(param), np.zeros_like(param),
+                np.zeros(param.shape[0], dtype=np.int64))
+        t = state.steps[rows] + 1
+        state.steps[rows] = t
+        m = state.m[rows]
         m *= opt.beta1
         m += (1.0 - opt.beta1) * g
+        state.m[rows] = m
+        v = state.v[rows]
         v *= opt.beta2
         v += (1.0 - opt.beta2) * (g * g)
-        m_hat = m / (1.0 - opt.beta1 ** t)
-        v_hat = v / (1.0 - opt.beta2 ** t)
-        kind, idx = key
-        arrays[kind][idx] -= learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+        state.v[rows] = v
+        # learning_rate * m_hat / (sqrt(v_hat) + eps); m and v are copies of
+        # the state rows, so v can be overwritten
+        step = m / (1.0 - opt.beta1 ** t)[:, None]
+        step *= learning_rate
+        v /= (1.0 - opt.beta2 ** t)[:, None]
+        np.sqrt(v, out=v)
+        v += opt.eps
+        step /= v
+        param[rows] -= step
 
 
 def adversarial_loss_terms(pos_scores: np.ndarray, neg_scores: np.ndarray,
@@ -150,32 +197,54 @@ def loss(params: ModelParams, fact: Fact, negatives: list[Fact],
     return float(value[0])
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """(k, n) entity rows -> (k,) opaque keys, equal exactly when rows are."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def _fact_index(facts: Iterable[Fact]) -> dict[int, np.ndarray]:
+    """Per relation, the sorted unique keys of its facts' entity rows."""
+    return {rel: np.unique(_row_keys(rows))
+            for rel, rows in _group_by_relation(list(facts)).items()}
+
+
+def _substitute(ents: np.ndarray, pos: np.ndarray, repl: np.ndarray) -> np.ndarray:
+    """(B, n) rows, (B, m) positions and replacements -> (B, m, n) rows."""
+    B, m = pos.shape
+    out = np.repeat(ents[:, None, :], m, axis=1)
+    out[np.arange(B)[:, None], np.arange(m)[None, :], pos] = repl
+    return out
+
+
+def _known_mask(ents: np.ndarray, pos: np.ndarray, repl: np.ndarray,
+                known: np.ndarray) -> np.ndarray:
+    """(B, m) mask of the substitutions whose row key is in ``known``, a
+    non-empty sorted key array from ``_fact_index``."""
+    B, m = pos.shape
+    keys = _row_keys(_substitute(ents, pos, repl).reshape(B * m, -1))
+    at = np.minimum(np.searchsorted(known, keys), known.size - 1)
+    return (known[at] == keys).reshape(B, m)
+
+
 def _draw_corruptions(rng: np.random.Generator, relation: int, ents: np.ndarray,
                       m: int, n_entities: int, stats: dict | None = None,
-                      avoid: frozenset | None = None) -> np.ndarray:
+                      avoid: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """(B, n) positive rows -> (B, m, n) corrupted rows.
 
     Each corruption redraws position and replacement together when it
-    collides with its source fact (or, with ``avoid``, any listed fact key
-    ``(relation, *entities)``), giving up after a bounded number of retries.
+    collides with its source fact (or, with ``avoid``, any fact in that
+    ``_fact_index``), giving up after a bounded number of retries.
     """
     B, n = ents.shape
     pos = rng.integers(0, n, size=(B, m))
     repl = rng.integers(0, n_entities, size=(B, m))
+    known = None if avoid is None else avoid.get(relation)
 
     def bad_mask() -> np.ndarray:
-        orig = ents[np.arange(B)[:, None], pos]
-        mask = repl == orig
-        if avoid is not None:
-            for b in range(B):
-                row = ents[b]
-                for i in range(m):
-                    if mask[b, i]:
-                        continue
-                    cand = [int(x) for x in row]
-                    cand[int(pos[b, i])] = int(repl[b, i])
-                    if (relation, *cand) in avoid:
-                        mask[b, i] = True
+        mask = repl == ents[np.arange(B)[:, None], pos]
+        if known is not None:
+            mask |= _known_mask(ents, pos, repl, known)
         return mask
 
     bad = bad_mask()
@@ -189,9 +258,7 @@ def _draw_corruptions(rng: np.random.Generator, relation: int, ents: np.ndarray,
     if stats is not None and bad.any():
         stats["negatives_accepted_equal"] = (
             stats.get("negatives_accepted_equal", 0) + int(bad.sum()))
-    out = np.repeat(ents[:, None, :], m, axis=1)
-    out[np.arange(B)[:, None], np.arange(m)[None, :], pos] = repl
-    return out
+    return _substitute(ents, pos, repl)
 
 
 def sample_negatives(rng: np.random.Generator, fact: Fact, m: int,
@@ -229,8 +296,7 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
     order = shuffle_rng.permutation(len(facts))
     if neg_rng is None:
         neg_rng = stream_rng(config.seed, STREAM_NEGATIVES, epoch)
-    avoid = frozenset((f.relation,) + tuple(f.entities) for f in kb.train) \
-        if config.filter_train_negatives else None
+    avoid = _fact_index(kb.train) if config.filter_train_negatives else None
     n_entities = params.vocab.n_entities
     total_loss = 0.0
     growth = 0
@@ -242,14 +308,13 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
             negs = _draw_corruptions(neg_rng, rel, ents, config.negatives,
                                      n_entities, stats=stats, avoid=avoid)
             B, m, n = negs.shape
-            s_pos = score_batch(params, rel, ents)
-            s_neg = score_batch(params, rel, negs.reshape(B * m, n)).reshape(B, m)
+            scores, cache = forward(params, rel,
+                                    np.concatenate([ents, negs.reshape(B * m, n)]))
             row_loss, d_pos, d_neg = adversarial_loss_terms(
-                s_pos, s_neg, config.margin, config.adversarial_temperature)
+                scores[:B], scores[B:].reshape(B, m), config.margin,
+                config.adversarial_temperature)
             batch_loss += float(row_loss.sum())
-            accumulate_score_gradients(params, rel, ents, d_pos, buf)
-            accumulate_score_gradients(params, rel, negs.reshape(B * m, n),
-                                       d_neg.reshape(B * m), buf)
+            backward(params, cache, np.concatenate([d_pos, d_neg.ravel()]), buf)
         if not np.isfinite(batch_loss):
             raise TrainingAbort(
                 "non-finite loss; training aborted",

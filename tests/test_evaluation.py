@@ -85,9 +85,12 @@ def test_rank_monotone_transform_invariance(scores, data):
     s = np.asarray(scores)
     target = data.draw(st.integers(0, len(scores) - 1))
     # scaling by a power of two is exact in floating point, so the strict
-    # order (and every tie) is preserved without rounding artifacts
+    # order (and every tie) is preserved without rounding artifacts -- except
+    # that dividing a subnormal can round (5e-324 / 8 == 0), so the second
+    # identity is checked whenever the division was exact
     assert rank_from_scores(s, target) == rank_from_scores(4.0 * s, target)
-    assert rank_from_scores(s, target) == rank_from_scores(s / 8.0, target)
+    if np.array_equal(s / 8.0 * 8.0, s):
+        assert rank_from_scores(s, target) == rank_from_scores(s / 8.0, target)
 
 
 # -- fact ranking ---------------------------------------------------------------

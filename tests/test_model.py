@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from boxkb.geometry import Box
 from boxkb.kb import Fact, Vocabulary
-from boxkb.model import (ModelParams, apply_gradient_offsets, bound, dist,
-                         final_embedding, init_params, load_checkpoint,
-                         save_checkpoint, score, score_batch, score_gradient)
+from boxkb.model import (GradBuffer, ModelParams, apply_gradient_offsets, backward,
+                         bound, dist, final_embedding, forward, init_params,
+                         load_checkpoint, save_checkpoint, score, score_batch,
+                         score_gradient)
 
 
 def make_vocab(n_entities=4, arities=(2,)):
@@ -213,6 +214,37 @@ def test_score_gradient_repeated_entity_accumulates():
     grads = score_gradient(p, f)
     fd = fd_gradient(p, f, "base", 0)
     assert np.allclose(grads[("base", 0)], fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("norm_order", [1, 2])
+@pytest.mark.parametrize("bounded", [True, False])
+@pytest.mark.parametrize("per_dim_branch", [False, True])
+def test_batched_backward_matches_per_fact_gradients(norm_order, bounded,
+                                                     per_dim_branch):
+    # four entities over rows of arity 1..4: ids repeat within rows and
+    # across rows; relation 4 shares one box between both its positions
+    arities = (1, 2, 3, 4, 2)
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        p = make_params(n_entities=4, arities=arities, d=5, seed=trial,
+                        norm_order=norm_order, bounded=bounded)
+        p.per_dim_branch = per_dim_branch
+        p.merge_slots([(int(p.slot_of[4][0]), int(p.slot_of[4][1]))])
+        for rel, arity in enumerate(arities):
+            ents = rng.integers(0, 4, size=(9, arity))
+            weights = rng.normal(size=9)
+            scores, cache = forward(p, rel, ents)
+            assert np.array_equal(score_batch(p, rel, ents), scores)
+            buf = GradBuffer(p)
+            backward(p, cache, weights, buf)
+            batched = buf.to_dict()
+            expect = {}
+            for row, wgt in zip(ents, weights):
+                for key, vec in score_gradient(p, Fact(rel, tuple(row))).items():
+                    expect[key] = expect.get(key, 0.0) + wgt * vec
+            assert batched.keys() == expect.keys()
+            for key, vec in expect.items():
+                assert np.allclose(batched[key], vec, rtol=0.0, atol=1e-12), key
 
 
 def test_apply_gradient_offsets_descends():

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxkb.kb import Fact, KnowledgeBase, Vocabulary
-from boxkb.model import init_params, score, score_gradient
+from boxkb.model import GradBuffer, init_params, score, score_gradient
 from boxkb.synth import random_binary_kb
 from boxkb.training import (NEGATIVE_RETRY_BOUND, STREAM_INIT,
                             STREAM_NEGATIVES, STREAM_SHUFFLE, OptimizerState,
-                            TrainConfig, TrainingAbort, adam_update,
+                            TrainConfig, TrainingAbort, _draw_corruptions,
+                            _fact_index, _known_mask, adam_update,
                             adversarial_loss_terms, loss, sample_negatives,
                             stream_rng, train_epoch, train_model)
 
@@ -175,6 +176,71 @@ def test_adam_untouched_slots_never_move():
             assert np.array_equal(p.entity_base[e], before[e])
 
 
+def reference_sparse_adam(state, params, grads, lr, beta1=0.9, beta2=0.999,
+                          eps=1e-8):
+    """Per-slot dictionary Adam: moments and step counters keyed by slot."""
+    arrays = {"base": params.entity_base, "bump": params.entity_bump,
+              "boxa": params.box_a, "boxb": params.box_b}
+    for key, g in grads.items():
+        if key not in state:
+            state[key] = [np.zeros_like(g), np.zeros_like(g), 0]
+        m, v, t = state[key]
+        t += 1
+        state[key][2] = t
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        kind, idx = key
+        arrays[kind][idx] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_dense_adam_matches_per_slot_reference():
+    vocab = Vocabulary([f"e{i}" for i in range(12)], ["r", "s"], [2, 3])
+    dense = init_params(vocab, 4, np.random.default_rng(3))
+    ref = dense.copy()
+    opt, ref_state = OptimizerState(), {}
+    rng = np.random.default_rng(4)
+    tables = {"base": dense.entity_base, "bump": dense.entity_bump,
+              "boxa": dense.box_a, "boxb": dense.box_b}
+    for step in range(25):
+        grads = {}
+        # uneven: some tables untouched, a few hot rows, the rest rare; a
+        # box slot's two corners are touched together, as in a GradBuffer
+        for kinds, n_rows in ((("base",), 12), (("bump",), 12), (("boxa", "boxb"), 5)):
+            if rng.random() < 0.2:
+                continue
+            rows = np.flatnonzero(rng.random(n_rows) < np.linspace(0.9, 0.05, n_rows))
+            for r in rows:
+                for kind in kinds:
+                    grads[(kind, int(r))] = rng.normal(
+                        scale=rng.choice([1e-3, 1.0, 30.0]), size=4)
+        before = [a.copy() for a in tables.values()]
+        if step % 2:
+            adam_update(opt, dense, grads, 0.05)
+        else:  # the same gradients through a GradBuffer
+            buf = GradBuffer(dense)
+            for (kind, r), g in grads.items():
+                getattr(buf, kind)[r] = g
+                mask = {"boxa": "box", "boxb": "box"}.get(kind, kind)
+                getattr(buf, f"{mask}_touched")[r] = True
+            adam_update(opt, dense, buf, 0.05)
+        reference_sparse_adam(ref_state, ref, grads, 0.05)
+        for (kind, arr), old in zip(tables.items(), before):
+            touched = {r for k, r in grads if k == kind}
+            for r in range(arr.shape[0]):
+                if r not in touched:
+                    assert arr[r].tobytes() == old[r].tobytes(), (step, kind, r)
+        assert np.allclose(dense.entity_base, ref.entity_base, rtol=0, atol=1e-12)
+        assert np.allclose(dense.entity_bump, ref.entity_bump, rtol=0, atol=1e-12)
+        assert np.allclose(dense.box_a, ref.box_a, rtol=0, atol=1e-12)
+        assert np.allclose(dense.box_b, ref.box_b, rtol=0, atol=1e-12)
+    for key, (_, _, t) in ref_state.items():
+        assert opt.steps[key] == t
+
+
 # -- rng streams ----------------------------------------------------------------
 
 def test_stream_rng_reproducible_and_distinct():
@@ -226,6 +292,70 @@ def test_sample_negatives_deterministic():
     a = sample_negatives(stream_rng(9, STREAM_NEGATIVES, 0), fact, 8, v)
     b = sample_negatives(stream_rng(9, STREAM_NEGATIVES, 0), fact, 8, v)
     assert a == b
+
+
+def reference_draw_corruptions(rng, relation, ents, m, n_entities, stats, avoid):
+    """Corruption draw with a per-(b, i) loop over a set of fact tuples."""
+    B, n = ents.shape
+    pos = rng.integers(0, n, size=(B, m))
+    repl = rng.integers(0, n_entities, size=(B, m))
+
+    def bad_mask():
+        mask = repl == ents[np.arange(B)[:, None], pos]
+        for b in range(B):
+            for i in range(m):
+                if mask[b, i]:
+                    continue
+                cand = [int(x) for x in ents[b]]
+                cand[int(pos[b, i])] = int(repl[b, i])
+                if (relation, *cand) in avoid:
+                    mask[b, i] = True
+        return mask
+
+    bad = bad_mask()
+    for _ in range(NEGATIVE_RETRY_BOUND):
+        if not bad.any():
+            break
+        k = int(bad.sum())
+        pos[bad] = rng.integers(0, n, size=k)
+        repl[bad] = rng.integers(0, n_entities, size=k)
+        bad = bad_mask()
+    if bad.any():
+        stats["negatives_accepted_equal"] = (
+            stats.get("negatives_accepted_equal", 0) + int(bad.sum()))
+    out = np.repeat(ents[:, None, :], m, axis=1)
+    out[np.arange(B)[:, None], np.arange(m)[None, :], pos] = repl
+    return out
+
+
+@pytest.mark.parametrize("arity", [1, 2, 4])
+def test_known_fact_filter_matches_reference_loop(arity):
+    n_entities = 5 if arity > 1 else 3
+    rng = np.random.default_rng(arity)
+    facts = [Fact(rel, tuple(int(x) for x in row))
+             for rel in range(2)
+             for row in rng.integers(0, n_entities, size=(40, arity))]
+    avoid = frozenset((f.relation, *f.entities) for f in facts)
+    index = _fact_index(facts)
+    for trial in range(20):
+        rel = trial % 2
+        ents = np.array([f.entities for f in facts if f.relation == rel][:12])
+        pos = rng.integers(0, arity, size=(len(ents), 7))
+        repl = rng.integers(0, n_entities, size=(len(ents), 7))
+        expect = np.zeros(pos.shape, dtype=bool)
+        for b in range(len(ents)):
+            for i in range(7):
+                cand = [int(x) for x in ents[b]]
+                cand[pos[b, i]] = int(repl[b, i])
+                expect[b, i] = (rel, *cand) in avoid
+        assert np.array_equal(_known_mask(ents, pos, repl, index[rel]), expect)
+        got_stats, ref_stats = {}, {}
+        got = _draw_corruptions(stream_rng(trial, STREAM_NEGATIVES), rel, ents, 7,
+                                n_entities, stats=got_stats, avoid=index)
+        ref = reference_draw_corruptions(stream_rng(trial, STREAM_NEGATIVES), rel,
+                                         ents, 7, n_entities, ref_stats, avoid)
+        assert got.tobytes() == ref.tobytes()
+        assert got_stats == ref_stats
 
 
 # -- epoch loop --------------------------------------------------------------------
