@@ -12,6 +12,11 @@ ranking additionally drops candidates that are themselves known true facts
 headline, raw numbers ride along.  Relations at or above
 kb.n_scored_relations (inverse-augmentation helpers) are skipped.
 
+The filter tests the (E, n) candidate rows with ``kb.known_rows`` against
+a ``kb.fact_index`` of ``kb.known`` (the membership test that training uses
+to filter negatives); ``evaluate`` builds the index once per call,
+``rank_fact`` for its fact's relation only.
+
 Ranks are integers gathered in canonical (fact, position) order before any
 averaging, so metrics cannot depend on evaluation order or parallel
 partitioning.
@@ -22,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .kb import Fact, KnowledgeBase
+from .kb import Fact, KnowledgeBase, fact_index, known_rows
 from .model import ModelParams, score_batch
 
 
@@ -38,51 +43,37 @@ def rank_from_scores(scores: np.ndarray, target: int,
     return 1 + better + (ties + 1) // 2
 
 
-def _candidate_scores(params: ModelParams, fact: Fact, position: int) -> np.ndarray:
+def _candidate_scores(params: ModelParams, fact: Fact, position: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The (E, n) rows substituting every entity at ``position``, and their scores."""
     n_e = params.vocab.n_entities
     ents = np.tile(np.array(fact.entities, dtype=np.int64), (n_e, 1))
     ents[:, position] = np.arange(n_e)
-    return score_batch(params, fact.relation, ents)
+    return ents, score_batch(params, fact.relation, ents)
+
+
+def _position_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
+                    position: int) -> tuple[int, int]:
+    """(raw, filtered) rank of ``fact`` at ``position``; the filter drops the
+    candidates that are facts in ``index``, a ``kb.fact_index``."""
+    rows, scores = _candidate_scores(params, fact, position)
+    target = fact.entities[position]
+    include = ~known_rows(index, fact.relation, rows)
+    return (rank_from_scores(scores, target, None),
+            rank_from_scores(scores, target, include))
 
 
 def rank_fact(params: ModelParams, kb: KnowledgeBase, fact: Fact,
               position: int, filtered: bool) -> int:
     """Rank of ``fact`` against all substitutions at ``position``."""
-    scores = _candidate_scores(params, fact, position)
-    target = fact.entities[position]
-    include = None
-    if filtered:
-        n_e = params.vocab.n_entities
-        include = np.ones(n_e, dtype=bool)
-        ents = list(fact.entities)
-        for e in range(n_e):
-            if e == target:
-                continue
-            ents[position] = e
-            if Fact(fact.relation, tuple(ents)) in kb.known:
-                include[e] = False
-    return rank_from_scores(scores, target, include)
+    index = fact_index(f for f in kb.known if f.relation == fact.relation)
+    return _position_ranks(params, index, fact, position)[filtered]
 
 
-def _fact_ranks(params: ModelParams, kb: KnowledgeBase, fact: Fact
+def _fact_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact
                 ) -> list[tuple[int, int]]:
     """(raw, filtered) rank per position of one fact."""
-    out = []
-    for p in range(fact.arity):
-        scores = _candidate_scores(params, fact, p)
-        target = fact.entities[p]
-        n_e = params.vocab.n_entities
-        include = np.ones(n_e, dtype=bool)
-        ents = list(fact.entities)
-        for e in range(n_e):
-            if e == target:
-                continue
-            ents[p] = e
-            if Fact(fact.relation, tuple(ents)) in kb.known:
-                include[e] = False
-        out.append((rank_from_scores(scores, target, None),
-                    rank_from_scores(scores, target, include)))
-    return out
+    return [_position_ranks(params, index, fact, p) for p in range(fact.arity)]
 
 
 def metrics_from_ranks(ranks: list[int], ks: tuple[int, ...]) -> dict:
@@ -100,11 +91,12 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str,
              ks: tuple[int, ...] = (1, 3, 10), workers: int = 1) -> dict:
     """Filtered (headline) and raw metrics over one split."""
     facts = [f for f in kb.split(split) if f.relation < kb.n_scored_relations]
+    index = fact_index(kb.known)
     if workers > 1 and len(facts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_fact = list(pool.map(lambda f: _fact_ranks(params, kb, f), facts))
+            per_fact = list(pool.map(lambda f: _fact_ranks(params, index, f), facts))
     else:
-        per_fact = [_fact_ranks(params, kb, f) for f in facts]
+        per_fact = [_fact_ranks(params, index, f) for f in facts]
     raw = [r for ranks in per_fact for r, _ in ranks]
     filt = [f for ranks in per_fact for _, f in ranks]
     out = {"split": split, "n_facts": len(facts)}

@@ -3,14 +3,22 @@
 Entities and relations are interned to dense integer ids in first-appearance
 order (train split first, then valid, then test) so that runs over the same
 files always agree on the id layout.  Facts are immutable tuples, and a
-knowledge base keeps a frozen membership index over the union of its splits
-for duplicate detection and filtered evaluation.
+knowledge base keeps the frozen set of facts over the union of its splits
+for duplicate detection.
+
+"Is this entity row a known fact?" is answered here and only here:
+``fact_index`` turns a set of facts into per-relation sorted row keys, and
+``known_rows`` tests a whole array of candidate rows against it at once.
+Training uses it to filter negatives that are training facts, and ranking
+evaluation uses it to drop candidates that are known facts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 FORMAT_TRIPLE = "tsv-triple"
 FORMAT_NARY = "tsv-nary"
@@ -182,6 +190,39 @@ def write_split(kb: KnowledgeBase, split: str, path: str | Path, fmt: str = FORM
                 fh.write(f"{ents[0]}\t{rel}\t{ents[1]}\n")
             else:
                 fh.write("\t".join([rel] + ents) + "\n")
+
+
+def group_by_relation(facts: Iterable[Fact]) -> dict[int, np.ndarray]:
+    """Per relation, in relation order, the (k, arity) int64 rows of its facts."""
+    groups: dict[int, list[tuple]] = {}
+    for f in facts:
+        groups.setdefault(f.relation, []).append(f.entities)
+    return {r: np.array(rows, dtype=np.int64) for r, rows in sorted(groups.items())}
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """(k, n) entity rows -> (k,) opaque keys, equal exactly when rows are."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def fact_index(facts: Iterable[Fact]) -> dict[int, np.ndarray]:
+    """Per relation, the sorted unique keys of its facts' entity rows."""
+    return {rel: np.unique(_row_keys(rows))
+            for rel, rows in group_by_relation(facts).items()}
+
+
+def known_rows(index: dict[int, np.ndarray], relation: int,
+               rows: np.ndarray) -> np.ndarray:
+    """(k, n) entity rows -> (k,) mask of the rows that are facts of
+    ``relation`` in ``index``, a ``fact_index``; all False for a relation
+    the index does not hold."""
+    known = index.get(relation)
+    if known is None:
+        return np.zeros(len(rows), dtype=bool)
+    keys = _row_keys(rows)
+    at = np.minimum(np.searchsorted(known, keys), known.size - 1)
+    return known[at] == keys
 
 
 def corrupt(fact: Fact, position: int, replacement: int) -> Fact:

@@ -46,6 +46,29 @@ def bound(raw: np.ndarray) -> np.ndarray:
     return np.tanh(raw)
 
 
+class UnionFind:
+    """Disjoint sets over hashable keys, created on first sight; the smaller
+    root wins a union, so canonical representatives are stable."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            lo, hi = sorted((rx, ry))
+            self.parent[hi] = lo
+
+
 @dataclass
 class ModelParams:
     vocab: Vocabulary
@@ -103,19 +126,10 @@ class ModelParams:
         slot of each class is its smallest member; aliased slots keep their
         stale parameters but are no longer referenced.
         """
-        parent = list(range(self.n_slots))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind()
         for s, t in pairs:
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[max(rs, rt)] = min(rs, rt)
-        mapping = {s: find(s) for s in range(self.n_slots)}
+            uf.union(s, t)
+        mapping = {s: uf.find(s) for s in range(self.n_slots)}
         for rel in range(len(self.slot_of)):
             self.slot_of[rel] = np.array([mapping[int(s)] for s in self.slot_of[rel]],
                                          dtype=np.int64)
@@ -358,14 +372,6 @@ def score_gradient(params: ModelParams, fact: Fact) -> GradMap:
     _, cache = forward(params, fact.relation, np.array([fact.entities], dtype=np.int64))
     backward(params, cache, np.ones(1), buf)
     return buf.to_dict()
-
-
-def apply_gradient_offsets(params: ModelParams, grads: GradMap, scale: float) -> None:
-    """In-place params += scale * grads, used by finite-difference tests."""
-    arrays = {"base": params.entity_base, "bump": params.entity_bump,
-              "boxa": params.box_a, "boxb": params.box_b}
-    for (kind, idx), vec in grads.items():
-        arrays[kind][idx] += scale * vec
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .geometry import Box, intersect
 from .kb import Vocabulary
-from .model import ModelParams
+from .model import ModelParams, UnionFind
 
 SYMMETRY = "symmetry"
 ANTISYMMETRY = "antisymmetry"
@@ -217,27 +217,6 @@ def _sharing_edges(rules: Iterable[Rule]) -> list[tuple[tuple[int, int], tuple[i
     return edges
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # smaller key wins so canonical representatives are stable
-            lo, hi = sorted((rx, ry))
-            self.parent[hi] = lo
-
-
 @dataclass
 class ConflictReport:
     kind: str
@@ -316,7 +295,7 @@ def check_consistency(rules: list[Rule],
         return f"relation#{rel}"
 
     edges = _sharing_edges(rules)
-    uf = _UnionFind()
+    uf = UnionFind()
     for a, b, _ in edges:
         uf.union(a, b)
     clauses = _horn_theory(rules)
@@ -363,17 +342,11 @@ class RuleSet:
     """Rules plus everything injection derives from them."""
     rules: list[Rule]
     closure: list[Rule]
-    sharing: dict[tuple[int, int], tuple[int, int]]
     containments: list[tuple[tuple[tuple[int, int], ...], tuple[int, int]]]
-    disjointness: list[tuple[tuple[int, int], tuple[int, int]]]
 
     @classmethod
     def build(cls, rules: list[Rule], n_positions: int = 2) -> "RuleSet":
         closure = deductive_closure(rules)
-        uf = _UnionFind()
-        for a, b, _ in _sharing_edges(rules):
-            uf.union(a, b)
-        sharing = {slot: uf.find(slot) for slot in list(uf.parent)}
         containments = []
         for r in closure:
             if r.form == HIERARCHY:
@@ -385,10 +358,7 @@ class RuleSet:
             for p in range(n_positions):
                 containments.append(
                     (tuple((b, p) for b in body), (head, p)))
-        disjointness = [((r.relations[0], p), (r.relations[1], p))
-                        for r in rules if r.form == EXCLUSION
-                        for p in range(n_positions)]
-        return cls(rules, closure, sharing, containments, disjointness)
+        return cls(rules, closure, containments)
 
 
 class CaptureResult(NamedTuple):

@@ -26,12 +26,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit, softmax
 
-from .kb import Fact, KnowledgeBase, Vocabulary
+from .kb import (Fact, KnowledgeBase, Vocabulary, fact_index, group_by_relation,
+                 known_rows)
 from .model import GradBuffer, GradMap, ModelParams, SlotKey, backward, forward, score
 
 STREAM_INIT = 1
@@ -197,34 +198,12 @@ def loss(params: ModelParams, fact: Fact, negatives: list[Fact],
     return float(value[0])
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """(k, n) entity rows -> (k,) opaque keys, equal exactly when rows are."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
-
-
-def _fact_index(facts: Iterable[Fact]) -> dict[int, np.ndarray]:
-    """Per relation, the sorted unique keys of its facts' entity rows."""
-    return {rel: np.unique(_row_keys(rows))
-            for rel, rows in _group_by_relation(list(facts)).items()}
-
-
 def _substitute(ents: np.ndarray, pos: np.ndarray, repl: np.ndarray) -> np.ndarray:
     """(B, n) rows, (B, m) positions and replacements -> (B, m, n) rows."""
     B, m = pos.shape
     out = np.repeat(ents[:, None, :], m, axis=1)
     out[np.arange(B)[:, None], np.arange(m)[None, :], pos] = repl
     return out
-
-
-def _known_mask(ents: np.ndarray, pos: np.ndarray, repl: np.ndarray,
-                known: np.ndarray) -> np.ndarray:
-    """(B, m) mask of the substitutions whose row key is in ``known``, a
-    non-empty sorted key array from ``_fact_index``."""
-    B, m = pos.shape
-    keys = _row_keys(_substitute(ents, pos, repl).reshape(B * m, -1))
-    at = np.minimum(np.searchsorted(known, keys), known.size - 1)
-    return (known[at] == keys).reshape(B, m)
 
 
 def _draw_corruptions(rng: np.random.Generator, relation: int, ents: np.ndarray,
@@ -234,17 +213,17 @@ def _draw_corruptions(rng: np.random.Generator, relation: int, ents: np.ndarray,
 
     Each corruption redraws position and replacement together when it
     collides with its source fact (or, with ``avoid``, any fact in that
-    ``_fact_index``), giving up after a bounded number of retries.
+    ``kb.fact_index``), giving up after a bounded number of retries.
     """
     B, n = ents.shape
     pos = rng.integers(0, n, size=(B, m))
     repl = rng.integers(0, n_entities, size=(B, m))
-    known = None if avoid is None else avoid.get(relation)
 
     def bad_mask() -> np.ndarray:
         mask = repl == ents[np.arange(B)[:, None], pos]
-        if known is not None:
-            mask |= _known_mask(ents, pos, repl, known)
+        if avoid is not None:
+            rows = _substitute(ents, pos, repl).reshape(B * m, n)
+            mask |= known_rows(avoid, relation, rows).reshape(B, m)
         return mask
 
     bad = bad_mask()
@@ -275,13 +254,6 @@ def sample_negatives(rng: np.random.Generator, fact: Fact, m: int,
             for i in range(m)]
 
 
-def _group_by_relation(facts: list[Fact]) -> dict[int, np.ndarray]:
-    groups: dict[int, list[tuple]] = {}
-    for f in facts:
-        groups.setdefault(f.relation, []).append(f.entities)
-    return {r: np.array(rows, dtype=np.int64) for r, rows in sorted(groups.items())}
-
-
 def train_epoch(params: ModelParams, optimizer: OptimizerState,
                 kb: KnowledgeBase, config: TrainConfig,
                 projection_plan=None, epoch: int = 0,
@@ -296,7 +268,7 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
     order = shuffle_rng.permutation(len(facts))
     if neg_rng is None:
         neg_rng = stream_rng(config.seed, STREAM_NEGATIVES, epoch)
-    avoid = _fact_index(kb.train) if config.filter_train_negatives else None
+    avoid = fact_index(kb.train) if config.filter_train_negatives else None
     n_entities = params.vocab.n_entities
     total_loss = 0.0
     growth = 0
@@ -304,7 +276,7 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
         batch = [facts[i] for i in order[start:start + config.batch_size]]
         buf = GradBuffer(params)
         batch_loss = 0.0
-        for rel, ents in _group_by_relation(batch).items():
+        for rel, ents in group_by_relation(batch).items():
             negs = _draw_corruptions(neg_rng, rel, ents, config.negatives,
                                      n_entities, stats=stats, avoid=avoid)
             B, m, n = negs.shape

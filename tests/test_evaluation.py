@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkb.kb import Fact, KnowledgeBase, Vocabulary
-from boxkb.model import init_params
-from boxkb.evaluation import (evaluate, metrics_from_ranks, rank_fact,
+from boxkb.kb import Fact, KnowledgeBase, Vocabulary, augment_inverses, fact_index
+from boxkb.model import init_params, score_batch
+from boxkb.evaluation import (_fact_ranks, evaluate, metrics_from_ranks, rank_fact,
                               rank_from_scores)
 
 
@@ -137,6 +137,99 @@ def test_filtered_rank_never_exceeds_raw_randomized():
             raw = rank_fact(p, kb, f, pos, filtered=False)
             filt = rank_fact(p, kb, f, pos, filtered=True)
             assert filt <= raw
+
+
+def reference_position_ranks(params, kb, fact, position):
+    """(raw, filtered) rank with the filter built as a per-candidate ``Fact``
+    membership loop over ``kb.known``, independent of ``kb.fact_index``."""
+    n_e = params.vocab.n_entities
+    ents = np.tile(np.array(fact.entities, dtype=np.int64), (n_e, 1))
+    ents[:, position] = np.arange(n_e)
+    scores = score_batch(params, fact.relation, ents)
+    target = fact.entities[position]
+    include = np.ones(n_e, dtype=bool)
+    cand = list(fact.entities)
+    for e in range(n_e):
+        if e == target:
+            continue
+        cand[position] = e
+        if Fact(fact.relation, tuple(cand)) in kb.known:
+            include[e] = False
+    return (rank_from_scores(scores, target, None),
+            rank_from_scores(scores, target, include))
+
+
+def random_facts(rng, vocab, per_relation):
+    return [Fact(rel, tuple(int(x) for x in rng.integers(0, vocab.n_entities,
+                                                       size=vocab.arity(rel))))
+            for rel in range(vocab.n_relations) for _ in range(per_relation)]
+
+
+def dense_kb(rng, n_entities, arities, empty_relation):
+    """Facts of every relation but ``empty_relation``, dense enough that most
+    candidate sets hold several known facts; every fourth is a test fact."""
+    v = Vocabulary()
+    for i in range(n_entities):
+        v.entity_id(f"e{i}", create=True)
+    for i, a in enumerate(arities):
+        v.relation_id(f"r{i}", arity=a, create=True)
+    facts = set()
+    for fact in random_facts(rng, v, 8):
+        if fact.relation == empty_relation:
+            continue
+        # the fact and one substitution per position, so every position of
+        # it has a known competitor
+        facts.add(fact)
+        for p in range(fact.arity):
+            sub = list(fact.entities)
+            sub[p] = int(rng.integers(0, n_entities))
+            facts.add(Fact(fact.relation, tuple(sub)))
+    facts = sorted(facts)
+    test = facts[::4]
+    return kb_with(v, train=[f for f in facts if f not in test], test=test)
+
+
+def tied_params(vocab, seed):
+    """Random parameters rounded coarsely, so that candidates tie."""
+    p = init_params(vocab, 2, np.random.default_rng(seed))
+    for arr in (p.entity_base, p.entity_bump):
+        arr[:] = np.round(arr * 2.0) / 2.0
+    return p
+
+
+@pytest.mark.parametrize("case", ["arity-1-2-4", "inverse-augmented"])
+def test_filtered_ranking_matches_reference_fact_loop(case):
+    rng = np.random.default_rng(11)
+    if case == "arity-1-2-4":
+        kb = dense_kb(rng, 6, (1, 2, 4, 2), empty_relation=3)
+        empty = {3}
+    else:
+        kb = augment_inverses(dense_kb(rng, 6, (2, 2), empty_relation=1))
+        empty = {1, 3}  # relation 1 and its inverse
+    params = tied_params(kb.vocab, 3)
+    index = fact_index(kb.known)
+    assert empty.isdisjoint(index)
+    # targets: every known fact, inverse helpers included, and facts of
+    # every relation that are not known
+    unknown = [f for f in random_facts(rng, kb.vocab, 4) if f not in kb.known]
+    assert empty <= {f.relation for f in unknown}
+    filtered_below_raw = 0
+    for fact in sorted(kb.known) + unknown:
+        ranks = _fact_ranks(params, index, fact)
+        for p in range(fact.arity):
+            expect = reference_position_ranks(params, kb, fact, p)
+            assert ranks[p] == expect, (fact, p)
+            for filtered in (False, True):
+                assert rank_fact(params, kb, fact, p, filtered) == ranks[p][filtered]
+            filtered_below_raw += expect[1] < expect[0]
+    assert filtered_below_raw > 0
+    scored = [f for f in kb.test if f.relation < kb.n_scored_relations]
+    expect = [reference_position_ranks(params, kb, f, p)
+              for f in scored for p in range(f.arity)]
+    out = evaluate(params, kb, "test")
+    assert {k: out[k] for k in ("mr", "mrr", "hits")} == \
+        metrics_from_ranks([f for _, f in expect], (1, 3, 10))
+    assert out["raw"] == metrics_from_ranks([r for r, _ in expect], (1, 3, 10))
 
 
 def test_evaluate_shape_and_consistency():

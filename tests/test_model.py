@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from boxkb.geometry import Box
 from boxkb.kb import Fact, Vocabulary
-from boxkb.model import (GradBuffer, ModelParams, apply_gradient_offsets, backward,
-                         bound, dist, final_embedding, forward, init_params,
-                         load_checkpoint, save_checkpoint, score, score_batch,
-                         score_gradient)
+from boxkb.model import (GradBuffer, GradMap, ModelParams, backward, bound, dist,
+                         final_embedding, forward, init_params, load_checkpoint,
+                         save_checkpoint, score, score_batch, score_gradient)
 
 
 def make_vocab(n_entities=4, arities=(2,)):
@@ -19,6 +18,14 @@ def make_vocab(n_entities=4, arities=(2,)):
     for i, a in enumerate(arities):
         v.relation_id(f"r{i}", arity=a, create=True)
     return v
+
+
+def apply_gradient_offsets(params: ModelParams, grads: GradMap, scale: float) -> None:
+    """In-place params += scale * grads, used by finite-difference tests."""
+    arrays = {"base": params.entity_base, "bump": params.entity_bump,
+              "boxa": params.box_a, "boxb": params.box_b}
+    for (kind, idx), vec in grads.items():
+        arrays[kind][idx] += scale * vec
 
 
 def make_params(n_entities=4, arities=(2,), d=3, seed=0, **kw):

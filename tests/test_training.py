@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkb.kb import Fact, KnowledgeBase, Vocabulary
+from boxkb.kb import Fact, KnowledgeBase, Vocabulary, fact_index, known_rows
 from boxkb.model import GradBuffer, init_params, score, score_gradient
 from boxkb.synth import random_binary_kb
 from boxkb.training import (NEGATIVE_RETRY_BOUND, STREAM_INIT,
                             STREAM_NEGATIVES, STREAM_SHUFFLE, OptimizerState,
                             TrainConfig, TrainingAbort, _draw_corruptions,
-                            _fact_index, _known_mask, adam_update,
+                            _substitute, adam_update,
                             adversarial_loss_terms, loss, sample_negatives,
                             stream_rng, train_epoch, train_model)
 
@@ -336,7 +336,7 @@ def test_known_fact_filter_matches_reference_loop(arity):
              for rel in range(2)
              for row in rng.integers(0, n_entities, size=(40, arity))]
     avoid = frozenset((f.relation, *f.entities) for f in facts)
-    index = _fact_index(facts)
+    index = fact_index(facts)
     for trial in range(20):
         rel = trial % 2
         ents = np.array([f.entities for f in facts if f.relation == rel][:12])
@@ -348,7 +348,8 @@ def test_known_fact_filter_matches_reference_loop(arity):
                 cand = [int(x) for x in ents[b]]
                 cand[pos[b, i]] = int(repl[b, i])
                 expect[b, i] = (rel, *cand) in avoid
-        assert np.array_equal(_known_mask(ents, pos, repl, index[rel]), expect)
+        rows = _substitute(ents, pos, repl).reshape(-1, arity)
+        assert np.array_equal(known_rows(index, rel, rows).reshape(pos.shape), expect)
         got_stats, ref_stats = {}, {}
         got = _draw_corruptions(stream_rng(trial, STREAM_NEGATIVES), rel, ents, 7,
                                 n_entities, stats=got_stats, avoid=index)
