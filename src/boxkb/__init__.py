@@ -5,7 +5,7 @@ from .kb import Fact, KnowledgeBase, Vocabulary, augment_inverses, corrupt, pars
 from .model import (ModelParams, dist, final_embedding, init_params,
                     load_checkpoint, save_checkpoint, score, score_gradient)
 from .training import TrainConfig, OptimizerState, adam_update, loss, sample_negatives, train_epoch
-from .rules import (Rule, RuleSet, apply_projection, box_stats, check_capture,
+from .rules import (Rule, apply_projection, box_stats, check_capture,
                     check_consistency, deductive_closure, inject, parse_rules)
 from .exact_fit import TruthTable, build_all_true, classify, dim_index, fit, flip_fact
 from .evaluation import evaluate, rank_fact
@@ -20,7 +20,7 @@ __all__ = [
     "save_checkpoint", "score", "score_gradient",
     "TrainConfig", "OptimizerState", "adam_update", "loss", "sample_negatives",
     "train_epoch",
-    "Rule", "RuleSet", "apply_projection", "box_stats", "check_capture",
+    "Rule", "apply_projection", "box_stats", "check_capture",
     "check_consistency", "deductive_closure", "inject", "parse_rules",
     "TruthTable", "build_all_true", "classify", "dim_index", "fit", "flip_fact",
     "evaluate", "rank_fact",

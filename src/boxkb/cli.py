@@ -201,7 +201,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         rules = parse_rules(cfg.rules, kb.vocab)
         plan = inject(rules, params)
         log.info("injected %d rules (closure %d, initial growth %d)",
-                 len(rules), len(plan.ruleset.closure), plan.initial_growth)
+                 len(rules), len(deductive_closure(rules)), plan.initial_growth)
     write_config_file(cfg, outdir / "config.txt")
     best = {"mrr": -1.0, "epoch": None}
     best_path = outdir / "best.json"
@@ -325,7 +325,7 @@ def cmd_rules(args: argparse.Namespace) -> int:
         classes = len(set(plan.sharing.values())) if plan.sharing else 0
         _emit({"consistent": True,
                "rules": len(rules),
-               "closure_size": len(plan.ruleset.closure),
+               "closure_size": len(deductive_closure(rules)),
                "sharing_classes": classes,
                "containment_constraints": len(plan.containments),
                "initial_growth": plan.initial_growth})

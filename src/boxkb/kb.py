@@ -113,10 +113,6 @@ class KnowledgeBase:
             raise KeyError(f"unknown split {name!r}")
         return getattr(self, name)
 
-    @property
-    def all_facts(self) -> tuple[Fact, ...]:
-        return self.train + self.valid + self.test
-
 
 def _parse_fact_line(line: str, fmt: str, lineno: int, path: str) -> tuple[str, list[str]]:
     cols = line.split("\t")

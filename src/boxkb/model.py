@@ -26,6 +26,7 @@ through tanh before any distance arithmetic.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -375,7 +376,11 @@ def score_gradient(params: ModelParams, fact: Fact) -> GradMap:
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write a self-contained JSON checkpoint (exact binary64 round-trip)."""
+    """Write a self-contained JSON checkpoint (exact binary64 round-trip).
+
+    The file is written beside ``path`` and renamed over it, so ``path``
+    holds either the previous checkpoint or the new one, never a torn write.
+    """
     vocab = params.vocab
     rel_boxes = []
     for rel in range(vocab.n_relations):
@@ -397,9 +402,16 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         "entity_bump": params.entity_bump.tolist(),
         "relation_boxes": rel_boxes,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

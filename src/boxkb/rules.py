@@ -18,9 +18,12 @@ exclusion.  Composition has no such condition and is check-rejected.
 
 *Injection* makes the sufficient condition hold and keeps it holding:
 symmetry/inversion collapse box slots to shared parameters (identity cannot
-be broken by any gradient step), while hierarchy/intersection become
-containment constraints re-established after every optimizer step by growing
-head boxes minimally (projection).  Only those four forms are injectable.
+be broken by any gradient step), while each input hierarchy/intersection
+rule becomes one containment constraint per position, re-established after
+every optimizer step by growing head boxes minimally (projection).  Only
+those four forms are injectable.  The closure needs no constraints of its
+own: containment is transitive and monotone under intersection, so once the
+input containments hold, every rule of the deductive closure is captured.
 
 The deductive closure treats hierarchy and intersection rules as a
 propositional Horn theory over relations (r1 => r2 and r1 and r2 => r3) and
@@ -337,30 +340,6 @@ def check_consistency(rules: list[Rule],
     return None
 
 
-@dataclass
-class RuleSet:
-    """Rules plus everything injection derives from them."""
-    rules: list[Rule]
-    closure: list[Rule]
-    containments: list[tuple[tuple[tuple[int, int], ...], tuple[int, int]]]
-
-    @classmethod
-    def build(cls, rules: list[Rule], n_positions: int = 2) -> "RuleSet":
-        closure = deductive_closure(rules)
-        containments = []
-        for r in closure:
-            if r.form == HIERARCHY:
-                body, head = r.relations[:1], r.relations[1]
-            elif r.form == INTERSECTION:
-                body, head = r.relations[:2], r.relations[2]
-            else:
-                continue
-            for p in range(n_positions):
-                containments.append(
-                    (tuple((b, p) for b in body), (head, p)))
-        return cls(rules, closure, containments)
-
-
 class CaptureResult(NamedTuple):
     captured: bool
     witness: dict | None
@@ -463,7 +442,6 @@ def check_capture(params: ModelParams, rule: Rule, tolerance: float = 0.0
 
 @dataclass
 class InjectionPlan:
-    ruleset: RuleSet
     sharing: dict[int, int]                      # model slot -> canonical slot
     containments: list[tuple[np.ndarray, int]]   # body model slots, head slot
     initial_growth: int = 0
@@ -472,10 +450,13 @@ class InjectionPlan:
 def inject(rules: list[Rule], params: ModelParams) -> InjectionPlan:
     """Constrain ``params`` so every rule provably holds now and forever.
 
-    Symmetry and inversion become shared box slots; hierarchy and
-    intersection (after closure) become containment constraints enforced by
-    an initial projection and re-enforced by apply_projection after every
-    optimizer step.  Raises for inconsistent sets and for forms outside
+    Symmetry and inversion become shared box slots; each input hierarchy
+    and intersection rule becomes one containment constraint per position,
+    enforced by an initial projection and re-enforced by apply_projection
+    after every optimizer step.  Only the input rules are enforced: their
+    containments imply those of every deductive-closure rule by
+    transitivity, and the least enlargement satisfying either set is the
+    same.  Raises for inconsistent sets and for forms outside
     {symmetry, inversion, hierarchy, intersection}.
     """
     report = check_consistency(rules, params.vocab)
@@ -490,22 +471,22 @@ def inject(rules: list[Rule], params: ModelParams) -> InjectionPlan:
     n_positions = max(arities, default=2)
     if len(arities) > 1:
         raise RuleError("rules mix relations of different arities")
-    rs = RuleSet.build(rules, n_positions=n_positions)
     pairs = [(int(params.slot_of[a[0]][a[1]]), int(params.slot_of[b[0]][b[1]]))
              for a, b, _ in _sharing_edges(rules)]
     sharing = params.merge_slots(pairs)
     containments = []
     seen = set()
-    for body, head in rs.containments:
-        body_slots = tuple(sorted(int(params.slot_of[r][p]) for r, p in body))
-        head_slot = int(params.slot_of[head[0]][head[1]])
-        if head_slot in body_slots:
-            continue  # shared slots make this constraint trivially true
-        key = (body_slots, head_slot)
-        if key not in seen:
-            seen.add(key)
-            containments.append((np.array(body_slots, dtype=np.int64), head_slot))
-    plan = InjectionPlan(rs, sharing, containments)
+    for body, head in _horn_theory(rules):
+        for p in range(n_positions):
+            body_slots = tuple(sorted(int(params.slot_of[r][p]) for r in body))
+            head_slot = int(params.slot_of[head][p])
+            if head_slot in body_slots:
+                continue  # shared slots make this constraint trivially true
+            key = (body_slots, head_slot)
+            if key not in seen:
+                seen.add(key)
+                containments.append((np.array(body_slots, dtype=np.int64), head_slot))
+    plan = InjectionPlan(sharing, containments)
     plan.initial_growth = apply_projection(params, plan)
     return plan
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kb import Fact, KnowledgeBase, Vocabulary
-from .rules import HIERARCHY, Rule
+from .rules import HIERARCHY, Rule, deductive_closure
 
 # Three-level ontology over eight binary relations: leaves r0..r3, mid-level
 # r4 (over r0, r1) and r5 (over r2, r3), tops r6 (over r4, r5) and r7 (over r4).
@@ -48,19 +48,6 @@ def hierarchy_rules() -> list[Rule]:
     return [Rule(HIERARCHY, edge) for edge in HIERARCHY_EDGES]
 
 
-def _ancestors() -> dict[int, set[int]]:
-    anc = {r: set() for r in range(N_HIERARCHY_RELATIONS)}
-    changed = True
-    while changed:
-        changed = False
-        for child, parent in HIERARCHY_EDGES:
-            add = {parent} | anc[parent]
-            if not add <= anc[child]:
-                anc[child] |= add
-                changed = True
-    return anc
-
-
 def hierarchy_ontology_kb(n_entities: int = 300,
                           leaf_facts: int = 120,
                           ancestor_facts: int = 25,
@@ -78,7 +65,10 @@ def hierarchy_ontology_kb(n_entities: int = 300,
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed % (1 << 64), 11]))
     vocab = _make_vocab(n_entities, N_HIERARCHY_RELATIONS)
-    anc = _ancestors()
+    anc: dict[int, set[int]] = {r: set() for r in range(N_HIERARCHY_RELATIONS)}
+    for rule in deductive_closure(hierarchy_rules()):
+        if rule.form == HIERARCHY:
+            anc[rule.relations[0]].add(rule.relations[1])
     base: set[Fact] = set()
     for rel in range(N_HIERARCHY_RELATIONS):
         quota = leaf_facts if rel in LEAF_RELATIONS else ancestor_facts

@@ -257,7 +257,6 @@ def sample_negatives(rng: np.random.Generator, fact: Fact, m: int,
 def train_epoch(params: ModelParams, optimizer: OptimizerState,
                 kb: KnowledgeBase, config: TrainConfig,
                 projection_plan=None, epoch: int = 0,
-                neg_rng: np.random.Generator | None = None,
                 stats: dict | None = None) -> dict:
     """One shuffled pass over the training split; returns epoch metrics."""
     from .rules import apply_projection  # local import, rules depends on model
@@ -266,8 +265,7 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
     facts = list(kb.train)
     shuffle_rng = stream_rng(config.seed, STREAM_SHUFFLE, epoch)
     order = shuffle_rng.permutation(len(facts))
-    if neg_rng is None:
-        neg_rng = stream_rng(config.seed, STREAM_NEGATIVES, epoch)
+    neg_rng = stream_rng(config.seed, STREAM_NEGATIVES, epoch)
     avoid = fact_index(kb.train) if config.filter_train_negatives else None
     n_entities = params.vocab.n_entities
     total_loss = 0.0

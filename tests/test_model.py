@@ -1,4 +1,6 @@
 """Scoring model: distances, final embeddings, gradients, checkpoints."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,29 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     save_checkpoint(p, a)
     save_checkpoint(load_checkpoint(a), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
+    # a write that fails part-way leaves the previous checkpoint as it was
+    path = tmp_path / "ck.json"
+    save_checkpoint(make_params(n_entities=3, d=4, seed=2), path)
+    save_checkpoint(make_params(n_entities=3, d=4, seed=3), path)
+    assert sorted(tmp_path.iterdir()) == [path]
+    before = path.read_bytes()
+
+    def torn_dump(obj, fh):
+        fh.write('{"version": 1, "entit')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(make_params(n_entities=3, d=4, seed=4), path)
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(make_params(n_entities=3, d=4, seed=4), fresh)
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_checkpoint_scores_survive_round_trip(tmp_path):

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from boxkb.kb import Vocabulary
 from boxkb.model import init_params
-from boxkb.rules import (ANTISYMMETRY, COMPOSITION, EXCLUSION, HIERARCHY,
-                         INTERSECTION, INVERSION, SYMMETRY,
-                         InconsistentRulesError, ProjectionError, Rule,
-                         RuleError, RuleParseError, UnsupportedRuleError,
+from boxkb.rules import (ANTISYMMETRY, COMPOSITION, EXCLUSION, FORM_ARITY,
+                         HIERARCHY, INTERSECTION, INVERSION, SYMMETRY,
+                         InconsistentRulesError, InjectionPlan,
+                         ProjectionError, Rule, RuleError, RuleParseError,
+                         UnsupportedRuleError, _sharing_edges,
                          apply_projection, box_stats, check_capture,
                          check_consistency, deductive_closure, inject,
                          parse_rules)
+from boxkb.synth import hierarchy_ontology_kb
 
 # ---------------------------------------------------------------------------
 # Independent semantic oracle: a rule set entails a rule iff every
@@ -524,6 +526,107 @@ def test_containment_transfers_to_sampled_points():
         outer = p.effective_box(1, pos)
         pts = rng.uniform(inner.lower, inner.upper, size=(1000, p.d))
         assert np.all(pts >= outer.lower) and np.all(pts <= outer.upper)
+
+
+# Reference: the closure-based injection plan, in which every hierarchy and
+# intersection rule of deductive_closure(rules) becomes one containment per
+# position, with the same slot mapping, shared-slot skip and dedup as inject.
+
+def reference_closure_inject(rules, params):
+    n_positions = max({params.vocab.arity(rel) for r in rules
+                       for rel in r.relations}, default=2)
+    pairs = [(int(params.slot_of[a[0]][a[1]]), int(params.slot_of[b[0]][b[1]]))
+             for a, b, _ in _sharing_edges(rules)]
+    sharing = params.merge_slots(pairs)
+    closure_containments = []
+    for r in deductive_closure(rules):
+        if r.form == HIERARCHY:
+            body, head = r.relations[:1], r.relations[1]
+        elif r.form == INTERSECTION:
+            body, head = r.relations[:2], r.relations[2]
+        else:
+            continue
+        for p in range(n_positions):
+            closure_containments.append((tuple((b, p) for b in body), (head, p)))
+    containments = []
+    seen = set()
+    for body, head in closure_containments:
+        body_slots = tuple(sorted(int(params.slot_of[r][p]) for r, p in body))
+        head_slot = int(params.slot_of[head[0]][head[1]])
+        if head_slot in body_slots:
+            continue
+        key = (body_slots, head_slot)
+        if key not in seen:
+            seen.add(key)
+            containments.append((np.array(body_slots, dtype=np.int64), head_slot))
+    plan = InjectionPlan(sharing, containments)
+    plan.initial_growth = apply_projection(params, plan)
+    return plan
+
+
+def random_injectable_rules(rng, n_rel, n_rules):
+    # symmetry/inversion make shared slots, intersections share body and head
+    # relations with hierarchies; duplicates and hierarchy cycles may occur
+    rules = []
+    while len(rules) < n_rules:
+        form = str(rng.choice([SYMMETRY, INVERSION, HIERARCHY, HIERARCHY,
+                               INTERSECTION, INTERSECTION]))
+        rels = rng.choice(n_rel, size=FORM_ARITY[form], replace=False)
+        rules.append(Rule(form, tuple(int(r) for r in rels)))
+    return rules
+
+
+def assert_same_boxes(p, q):
+    assert p.box_a.tobytes() == q.box_a.tobytes()
+    assert p.box_b.tobytes() == q.box_b.tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(p.slot_of, q.slot_of))
+
+
+def assert_closure_captured(p, rules):
+    for rule in deductive_closure(rules):
+        assert check_capture(p, rule).captured, rule
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("bounded", [True, False])
+def test_input_containments_project_like_the_closure(arity, bounded):
+    n_rel, cycles = 6, 6
+    fewer = grew = 0
+    for seed in range(60):
+        rng = np.random.default_rng([seed, arity, bounded])
+        rules = random_injectable_rules(rng, n_rel, int(rng.integers(1, 9)))
+        p = init_params(rule_vocab(n_rel, arity), 4, rng, bounded=bounded)
+        ref = p.copy()
+        plan = inject(rules, p)
+        ref_plan = reference_closure_inject(rules, ref)
+        assert plan.sharing == ref_plan.sharing
+        assert plan.initial_growth == ref_plan.initial_growth
+        assert_same_boxes(p, ref)
+        assert_closure_captured(p, rules)
+        fewer += len(plan.containments) < len(ref_plan.containments)
+        for _ in range(cycles):
+            noise_a = rng.normal(scale=0.3, size=p.box_a.shape)
+            noise_b = rng.normal(scale=0.3, size=p.box_b.shape)
+            for params in (p, ref):
+                params.box_a += noise_a
+                params.box_b += noise_b
+            growth = apply_projection(p, plan)
+            assert growth == apply_projection(ref, ref_plan)
+            assert_same_boxes(p, ref)
+            assert_closure_captured(p, rules)
+            grew += growth > 0
+    # the sets exercise derived constraints and real projection work
+    assert fewer > 20 and grew > 100
+
+
+def test_hierarchy_ontology_injects_one_containment_per_rule_position():
+    kb, rules = hierarchy_ontology_kb(n_entities=20, leaf_facts=4,
+                                      ancestor_facts=2, seed=0)
+    p = init_params(kb.vocab, 4, np.random.default_rng(0))
+    ref = p.copy()
+    assert len(inject(rules, p).containments) == 2 * len(rules) == 14
+    assert len(reference_closure_inject(rules, ref).containments) == 142
+    assert_same_boxes(p, ref)
 
 
 # -- box stats -----------------------------------------------------------------------
