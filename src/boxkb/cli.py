@@ -17,10 +17,11 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .evaluation import evaluate
+from .evaluation import evaluate, ranked_facts
 from .exact_fit import TableFormatError, fit, parse_table
 from .kb import (FORMAT_NARY, FORMAT_TRIPLE, Fact, KBFormatError,
                  KnowledgeBase, Vocabulary, augment_inverses, parse_kb)
@@ -200,8 +201,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.rules:
         rules = parse_rules(cfg.rules, kb.vocab)
         plan = inject(rules, params)
-        log.info("injected %d rules (closure %d, initial growth %d)",
-                 len(rules), len(deductive_closure(rules)), plan.initial_growth)
+        log.info("injected %d rules (%d containments, initial growth %d)",
+                 len(rules), len(plan.containments), plan.initial_growth)
     write_config_file(cfg, outdir / "config.txt")
     best = {"mrr": -1.0, "epoch": None}
     best_path = outdir / "best.json"
@@ -238,7 +239,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params = _load_params(args.checkpoint)
     kb = _remap_kb(_load_kb(cfg), params.vocab)
     ks = _parse_ks(args.ks)
-    _emit(evaluate(params, kb, args.split, ks=ks, workers=cfg.workers))
+    rankings = sum(f.arity for f in ranked_facts(kb, args.split))
+    start = time.perf_counter()
+    report = evaluate(params, kb, args.split, ks=ks, workers=cfg.workers)
+    wall_s = time.perf_counter() - start
+    report.update(wall_ms=wall_s * 1e3, rankings_per_s=rankings / wall_s)
+    _emit(report)
     return 0
 
 

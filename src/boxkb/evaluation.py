@@ -12,6 +12,14 @@ ranking additionally drops candidates that are themselves known true facts
 headline, raw numbers ride along.  Relations at or above
 kb.n_scored_relations (inverse-augmentation helpers) are skipped.
 
+Candidates are scored by ``model.score_candidates`` from the bump algebra:
+substituting a candidate changes only its own position's base and one term
+of the bump sum S shared by every position, so a query costs a few (E, d)
+arrays -- S, one position's points, their distance vector -- at any arity,
+instead of an (E, n, d) gather of the candidate rows.  ``evaluate`` forms
+``entity_base - entity_bump`` once per call for every query to share.  The
+scores are bitwise those of ``score_batch`` on the (E, n) candidate rows.
+
 The filter tests the (E, n) candidate rows with ``kb.known_rows`` against
 a ``kb.fact_index`` of ``kb.known`` (the membership test that training uses
 to filter negatives); ``evaluate`` builds the index once per call,
@@ -28,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .kb import Fact, KnowledgeBase, fact_index, known_rows
-from .model import ModelParams, score_batch
+from .model import ModelParams, score_candidates
 
 
 def rank_from_scores(scores: np.ndarray, target: int,
@@ -43,20 +51,21 @@ def rank_from_scores(scores: np.ndarray, target: int,
     return 1 + better + (ties + 1) // 2
 
 
-def _candidate_scores(params: ModelParams, fact: Fact, position: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_scores(params: ModelParams, fact: Fact, position: int,
+                      base_less_bump: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (E, n) rows substituting every entity at ``position``, and their scores."""
     n_e = params.vocab.n_entities
     ents = np.tile(np.array(fact.entities, dtype=np.int64), (n_e, 1))
     ents[:, position] = np.arange(n_e)
-    return ents, score_batch(params, fact.relation, ents)
+    return ents, score_candidates(params, fact.relation, fact.entities, position,
+                                  base_less_bump)
 
 
 def _position_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
-                    position: int) -> tuple[int, int]:
+                    position: int, base_less_bump: np.ndarray) -> tuple[int, int]:
     """(raw, filtered) rank of ``fact`` at ``position``; the filter drops the
     candidates that are facts in ``index``, a ``kb.fact_index``."""
-    rows, scores = _candidate_scores(params, fact, position)
+    rows, scores = _candidate_scores(params, fact, position, base_less_bump)
     target = fact.entities[position]
     include = ~known_rows(index, fact.relation, rows)
     return (rank_from_scores(scores, target, None),
@@ -67,13 +76,17 @@ def rank_fact(params: ModelParams, kb: KnowledgeBase, fact: Fact,
               position: int, filtered: bool) -> int:
     """Rank of ``fact`` against all substitutions at ``position``."""
     index = fact_index(f for f in kb.known if f.relation == fact.relation)
-    return _position_ranks(params, index, fact, position)[filtered]
+    return _position_ranks(params, index, fact, position,
+                           params.entity_base - params.entity_bump)[filtered]
 
 
-def _fact_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact
-                ) -> list[tuple[int, int]]:
+def _fact_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
+                base_less_bump: np.ndarray | None = None) -> list[tuple[int, int]]:
     """(raw, filtered) rank per position of one fact."""
-    return [_position_ranks(params, index, fact, p) for p in range(fact.arity)]
+    if base_less_bump is None:
+        base_less_bump = params.entity_base - params.entity_bump
+    return [_position_ranks(params, index, fact, p, base_less_bump)
+            for p in range(fact.arity)]
 
 
 def metrics_from_ranks(ranks: list[int], ks: tuple[int, ...]) -> dict:
@@ -87,16 +100,23 @@ def metrics_from_ranks(ranks: list[int], ks: tuple[int, ...]) -> dict:
     }
 
 
+def ranked_facts(kb: KnowledgeBase, split: str) -> list[Fact]:
+    """The facts of ``split`` that ``evaluate`` ranks, one ranking per position."""
+    return [f for f in kb.split(split) if f.relation < kb.n_scored_relations]
+
+
 def evaluate(params: ModelParams, kb: KnowledgeBase, split: str,
              ks: tuple[int, ...] = (1, 3, 10), workers: int = 1) -> dict:
     """Filtered (headline) and raw metrics over one split."""
-    facts = [f for f in kb.split(split) if f.relation < kb.n_scored_relations]
+    facts = ranked_facts(kb, split)
     index = fact_index(kb.known)
+    base_less_bump = params.entity_base - params.entity_bump
     if workers > 1 and len(facts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_fact = list(pool.map(lambda f: _fact_ranks(params, index, f), facts))
+            per_fact = list(pool.map(
+                lambda f: _fact_ranks(params, index, f, base_less_bump), facts))
     else:
-        per_fact = [_fact_ranks(params, index, f) for f in facts]
+        per_fact = [_fact_ranks(params, index, f, base_less_bump) for f in facts]
     raw = [r for ranks in per_fact for r, _ in ranks]
     filt = [f for ranks in per_fact for _, f in ranks]
     out = {"split": split, "n_facts": len(facts)}

@@ -6,7 +6,12 @@ r(e_1, ..., e_n) the position-i point is
     final_i = (base_i - bump_i) + sum_j bump_j
 
 so each entity shifts its co-participants but not itself (for arity 1 the
-formula collapses to the base alone).  Relation r owns one box per argument
+formula collapses to the base alone).  Ranking exploits this algebra: the
+|E| facts that substitute every entity at one position share the bump sum
+but for one term, so ``score_candidates`` scores them all with (E, d)
+broadcasts over the entity tables -- a per-query working set of a few
+(E, d) arrays, not an (E, n, d) gather -- and returns bitwise the scores
+``score_batch`` gives the same rows.  Relation r owns one box per argument
 position; the fact's score is the sum over positions of the L-x norm of an
 element-wise distance between final_i and box i.  Lower scores mean more
 plausible facts.
@@ -177,18 +182,21 @@ def _box_shape(lo: np.ndarray, hi: np.ndarray):
 
 
 def _distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
-              w: np.ndarray, kappa: np.ndarray, per_dim: bool):
+              w: np.ndarray, kappa: np.ndarray, per_dim: bool,
+              overwrite: bool = False):
     """Element-wise distance of points ``x`` (..., d) to one box.
 
     Returns (dv, z, t, branch): the distance vector, the offset z = x - c,
     t = |z| and the inside-branch mask (per coordinate with ``per_dim``,
     else one flag per point, broadcastable against ``x``).  This is the only
-    place the piecewise distance is written.
+    place the piecewise distance is written.  With ``overwrite`` the caller
+    gives up ``x``: z and then t are formed in its buffer, so z is t.
     """
-    z = x - c
-    t = np.abs(z)
-    inside_dim = (lo <= x) & (x <= hi)
+    inside_dim = lo <= x
+    inside_dim &= x <= hi
     branch = inside_dim if per_dim else inside_dim.all(axis=-1, keepdims=True)
+    z = np.subtract(x, c, out=x if overwrite else None)
+    t = np.abs(z, out=z if overwrite else None)
     dv = t * w
     dv -= kappa
     np.divide(t, w, out=dv, where=branch)
@@ -219,6 +227,11 @@ def _final_points(params: ModelParams, ents: np.ndarray) -> np.ndarray:
     bump = params.entity_bump[ents]
     pts = params.entity_base[ents] - bump
     pts += bump.sum(axis=1, keepdims=True)
+    return _bound_points(params, pts)
+
+
+def _bound_points(params: ModelParams, pts: np.ndarray) -> np.ndarray:
+    """Squash final points in place when the model is ``bounded``."""
     return np.tanh(pts, out=pts) if params.bounded else pts
 
 
@@ -231,6 +244,18 @@ def _box_tensors(params: ModelParams, relation: int):
     else:
         lo, hi = lo_raw, hi_raw
     return (slots, lo, hi, *_box_shape(lo, hi), a <= b)
+
+
+def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
+                    overwrite: bool = False) -> np.ndarray:
+    """Norm of the distance of each point of ``x`` (B, d) to box ``p`` of
+    ``box`` (a ``_box_tensors`` tuple); ``overwrite`` as in ``_distance``."""
+    _, lo, hi, c, w, kappa, _ = box
+    dv = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p], params.per_dim_branch,
+                   overwrite)[0]
+    if params.norm_order == 1:
+        return np.abs(dv, out=dv).sum(axis=1)
+    return np.sqrt(np.multiply(dv, dv, out=dv).sum(axis=1))
 
 
 @dataclass
@@ -250,19 +275,40 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
     """Scores of a batch of same-relation facts given as a (B, n) id array."""
     ents = np.asarray(ents, dtype=np.int64)
     pts = _final_points(params, ents)
-    _, lo, hi, c, w, kappa, _ = _box_tensors(params, relation)
+    box = _box_tensors(params, relation)
     B, n = ents.shape
     norms = np.empty((B, n), dtype=np.float64)
     total = np.zeros(B, dtype=np.float64)
     for p in range(n):
-        dv = _distance(pts[:, p, :], lo[p], hi[p], c[p], w[p], kappa[p],
-                       params.per_dim_branch)[0]
-        if params.norm_order == 1:
-            norms[:, p] = np.abs(dv).sum(axis=1)
-        else:
-            norms[:, p] = np.sqrt((dv * dv).sum(axis=1))
+        norms[:, p] = _position_norms(params, pts[:, p, :], box, p)
         total += norms[:, p]
     return total, ForwardCache(relation, ents, pts, norms)
+
+
+def score_candidates(params: ModelParams, relation: int, entities, position: int,
+                     base_less_bump: np.ndarray) -> np.ndarray:
+    """Scores of the |E| facts that put each entity in turn at ``position``
+    of ``entities``; bitwise the ``score_batch`` scores of those rows.
+
+    ``base_less_bump`` is ``entity_base - entity_bump``, which the caller
+    forms once.  The rows differ only in the candidate, so their bump sums
+    are one (E, d) array S, summed left to right as ``_final_points`` does
+    with the whole bump table at ``position``.  The candidate's points are
+    ``base_less_bump + S`` and every other position q's are
+    ``(base_q - bump_q) + S``: (E, d) broadcasts, never an (E, n, d) gather.
+    """
+    ents = [int(e) for e in entities]
+    base, bump = params.entity_base, params.entity_bump
+    s = bump if position == 0 else bump[ents[0]]
+    for q in range(1, len(ents)):
+        s = s + (bump if q == position else bump[ents[q]])
+    box = _box_tensors(params, relation)
+    total = np.zeros(bump.shape[0], dtype=np.float64)
+    for q, e in enumerate(ents):
+        x = base_less_bump + s if q == position else (base[e] - bump[e]) + s
+        total += _position_norms(params, _bound_points(params, x), box, q,
+                                 overwrite=True)
+    return total
 
 
 def score_batch(params: ModelParams, relation: int, ents: np.ndarray) -> np.ndarray:
@@ -414,7 +460,24 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         raise
 
 
+def _checkpoint_table(rows, n_rows: int, d: int, what: str) -> np.ndarray:
+    """``rows`` as an (n_rows, d) float table of finite values, or ValueError."""
+    try:
+        table = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        table = None
+    if table is not None and table.shape == (0,) and n_rows == 0:
+        table = table.reshape(0, d)
+    if table is None or table.shape != (n_rows, d):
+        raise ValueError(f"checkpoint {what} is not {n_rows} rows of length {d}")
+    if not np.isfinite(table).all():
+        raise ValueError(f"checkpoint {what} holds a non-finite value")
+    return table
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Read a checkpoint, raising ValueError unless every relation has one
+    box per position and every table is finite with the right shape."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -425,21 +488,29 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     for name, arity in zip(payload["relations"], payload["arities"]):
         vocab.relation_id(name, arity=arity, create=True)
     d = payload["d"]
+    boxes = payload["relation_boxes"]
+    if len(boxes) != vocab.n_relations:
+        raise ValueError(f"checkpoint has {len(boxes)} box sets for "
+                         f"{vocab.n_relations} relations")
     box_a_rows, box_b_rows, slot_of = [], [], []
     offset = 0
-    for rel in payload["relation_boxes"]:
+    for name, arity, rel in zip(vocab.relation_names, vocab.relation_arities, boxes):
         ca, cb = rel["corner_a"], rel["corner_b"]
+        if len(ca) != arity or len(cb) != arity:
+            raise ValueError(f"relation {name!r} of arity {arity} has "
+                             f"{len(ca)} and {len(cb)} box corners")
         box_a_rows.extend(ca)
         box_b_rows.extend(cb)
-        slot_of.append(np.arange(offset, offset + len(ca), dtype=np.int64))
-        offset += len(ca)
+        slot_of.append(np.arange(offset, offset + arity, dtype=np.int64))
+        offset += arity
+    n_e = vocab.n_entities
     return ModelParams(
         vocab=vocab,
         d=d,
-        entity_base=np.array(payload["entity_base"], dtype=np.float64).reshape(vocab.n_entities, d),
-        entity_bump=np.array(payload["entity_bump"], dtype=np.float64).reshape(vocab.n_entities, d),
-        box_a=np.array(box_a_rows, dtype=np.float64).reshape(offset, d),
-        box_b=np.array(box_b_rows, dtype=np.float64).reshape(offset, d),
+        entity_base=_checkpoint_table(payload["entity_base"], n_e, d, "entity_base"),
+        entity_bump=_checkpoint_table(payload["entity_bump"], n_e, d, "entity_bump"),
+        box_a=_checkpoint_table(box_a_rows, offset, d, "corner_a"),
+        box_b=_checkpoint_table(box_b_rows, offset, d, "corner_b"),
         slot_of=slot_of,
         norm_order=payload["norm_order"],
         bounded=payload["bounded"],

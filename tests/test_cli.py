@@ -245,6 +245,18 @@ def test_eval_from_checkpoint(capsys, data):
     assert report["raw"]["mr"] >= report["mr"]
 
 
+def test_eval_reports_wall_time_and_rankings_per_second(capsys, data):
+    outdir = data["tmp"] / "run"
+    assert run_main(capsys, train_argv(data, outdir))[0] == 0
+    code, out, _ = run_main(capsys, [
+        "eval", "--checkpoint", str(outdir / "best.json"),
+        "--train", data["train"], "--valid", data["valid"], "--split", "valid"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["wall_ms"] > 0.0
+    assert report["rankings_per_s"] > 0.0
+
+
 def test_eval_missing_checkpoint(capsys, data, tmp_path):
     code, _, err = run_main(capsys, [
         "eval", "--checkpoint", str(tmp_path / "nope.json"),

@@ -1,4 +1,6 @@
 """Ranking, tie handling, filtering, and metric arithmetic."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 
 from boxkb.kb import Fact, KnowledgeBase, Vocabulary, augment_inverses, fact_index
 from boxkb.model import init_params, score_batch
-from boxkb.evaluation import (_fact_ranks, evaluate, metrics_from_ranks, rank_fact,
-                              rank_from_scores)
+from boxkb.evaluation import (_candidate_scores, _fact_ranks, evaluate,
+                              metrics_from_ranks, rank_fact, rank_from_scores)
 
 
 def kb_with(vocab, train=(), valid=(), test=()):
@@ -277,3 +279,32 @@ def test_evaluate_perfect_model_scores_one():
     out = evaluate(p, kb, "test")
     assert out["hits"]["1"] == 1.0
     assert out["mrr"] == 1.0 and out["mr"] == 1.0
+
+
+def test_candidate_scores_working_set_does_not_grow_with_arity():
+    # FB15k-237 size: one ranking holds a few (E, d) arrays at any arity,
+    # where an (E, n, d) gather of the candidate rows would grow with n
+    n_e, d = 15000, 200
+    table = n_e * d * 8
+    v = Vocabulary()
+    for i in range(n_e):
+        v.entity_id(f"e{i}", create=True)
+    v.relation_id("pair", arity=2, create=True)
+    v.relation_id("quad", arity=4, create=True)
+    params = init_params(v, d, np.random.default_rng(0))
+    base_less_bump = params.entity_base - params.entity_bump
+    peaks = {}
+    for rel, arity in enumerate((2, 4)):
+        fact = Fact(rel, tuple(range(1, arity + 1)))
+        peak = 0
+        for position in range(arity):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                _candidate_scores(params, fact, position, base_less_bump)
+                peak = max(peak, tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        peaks[arity] = peak
+    assert peaks[4] <= 1.25 * peaks[2], peaks
+    assert max(peaks.values()) <= 4 * table, peaks

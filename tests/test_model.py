@@ -10,7 +10,8 @@ from boxkb.geometry import Box
 from boxkb.kb import Fact, Vocabulary
 from boxkb.model import (GradBuffer, GradMap, ModelParams, backward, bound, dist,
                          final_embedding, forward, init_params, load_checkpoint,
-                         save_checkpoint, score, score_batch, score_gradient)
+                         save_checkpoint, score, score_batch, score_candidates,
+                         score_gradient)
 
 
 def make_vocab(n_entities=4, arities=(2,)):
@@ -256,6 +257,37 @@ def test_batched_backward_matches_per_fact_gradients(norm_order, bounded,
                 assert np.allclose(batched[key], vec, rtol=0.0, atol=1e-12), key
 
 
+@pytest.mark.parametrize("norm_order", [1, 2])
+@pytest.mark.parametrize("bounded", [True, False])
+@pytest.mark.parametrize("per_dim_branch", [False, True])
+def test_score_candidates_equals_score_batch_bitwise(norm_order, bounded,
+                                                     per_dim_branch):
+    # relations of arity 1..4 and a binary one whose positions share a slot;
+    # anchor rows repeat an entity, and every anchor holds some candidate
+    arities = (1, 2, 3, 4, 2)
+    n_e = 40
+    p = make_params(n_entities=n_e, arities=arities, d=6, seed=3,
+                    norm_order=norm_order, bounded=bounded)
+    p.per_dim_branch = per_dim_branch
+    p.merge_slots([(int(p.slot_of[4][0]), int(p.slot_of[4][1]))])
+    p.entity_base *= 4.0
+    wide = int(p.slot_of[2][1])  # a box wide enough to hold some points
+    p.box_a[wide], p.box_b[wide] = -3.0, 3.0
+    base_less_bump = p.entity_base - p.entity_bump
+    rng = np.random.default_rng(7)
+    for rel, arity in enumerate(arities):
+        for anchor in (rng.integers(0, n_e, arity), np.full(arity, 5),
+                       np.arange(arity)):
+            for pos in range(arity):
+                rows = np.tile(anchor, (n_e, 1))
+                rows[:, pos] = np.arange(n_e)
+                expect = score_batch(p, rel, rows)
+                got = score_candidates(p, rel, tuple(anchor), pos, base_less_bump)
+                assert got.shape == expect.shape
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), \
+                    (rel, tuple(anchor), pos)
+
+
 def test_apply_gradient_offsets_descends():
     p = make_params(n_entities=3, d=4, seed=9)
     f = Fact(0, (0, 1))
@@ -355,6 +387,55 @@ def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(make_params(n_entities=3, d=4, seed=4), fresh)
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+def _tampered_checkpoint(tmp_path, edit):
+    path = tmp_path / "ck.json"
+    save_checkpoint(make_params(n_entities=4, arities=(2, 3), d=3, seed=6), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_checkpoint_load_rejects_box_count_other_than_arity(tmp_path):
+    def one_box(payload):
+        for corner in ("corner_a", "corner_b"):
+            del payload["relation_boxes"][0][corner][1:]
+    with pytest.raises(ValueError, match="arity 2 has 1 and 1 box corners"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, one_box))
+
+
+def test_checkpoint_load_rejects_short_corner_row(tmp_path):
+    def short(payload):
+        payload["relation_boxes"][1]["corner_b"][2].pop()
+    with pytest.raises(ValueError, match="corner_b is not 5 rows of length 3"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, short))
+
+
+def test_checkpoint_load_rejects_long_entity_row(tmp_path):
+    def long(payload):
+        payload["entity_bump"][3].append(0.0)
+    with pytest.raises(ValueError, match="entity_bump is not 4 rows of length 3"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, long))
+
+
+def test_checkpoint_load_rejects_missing_entity_row(tmp_path):
+    def missing(payload):
+        payload["entity_base"].pop()
+    with pytest.raises(ValueError, match="entity_base is not 4 rows of length 3"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, missing))
+
+
+@pytest.mark.parametrize("table", ["entity_base", "corner_a"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_checkpoint_load_rejects_non_finite_values(tmp_path, table, value):
+    def poison(payload):
+        rows = (payload[table] if table.startswith("entity")
+                else payload["relation_boxes"][1][table])
+        rows[1][2] = value
+    with pytest.raises(ValueError, match=f"{table} holds a non-finite value"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, poison))
 
 
 def test_checkpoint_scores_survive_round_trip(tmp_path):
