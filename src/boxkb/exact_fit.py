@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .geometry import contains
 from .kb import Fact, Vocabulary
 from .model import ModelParams, final_embedding
 
@@ -238,12 +237,18 @@ def build_all_true(vocab: Vocabulary) -> ExactFitModel:
 
 
 def _classify_padded(model: ExactFitModel, padded: tuple) -> bool:
+    """Every final point inside its box, boundary inclusive: one array test
+    on the (n, d) points against the raw corners' min/max (tanh'd when
+    ``bounded``, as ``effective_box`` does)."""
+    params = model.params
     rel, ents = padded[0], padded[1:]
-    pts = final_embedding(model.params, Fact(rel, ents))
-    for p in range(model.n_max):
-        if not contains(model.params.effective_box(rel, p), pts[p]):
-            return False
-    return True
+    pts = final_embedding(params, Fact(rel, ents))
+    slots = params.slot_of[rel]
+    a, b = params.box_a[slots], params.box_b[slots]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if params.bounded:
+        lo, hi = np.tanh(lo), np.tanh(hi)
+    return bool((lo <= pts).all() and (pts <= hi).all())
 
 
 def classify(model: ExactFitModel, fact: Fact) -> bool:

@@ -30,6 +30,7 @@ through tanh before any distance arithmetic.
 """
 from __future__ import annotations
 
+import base64
 import json
 import os
 from dataclasses import dataclass, field
@@ -40,7 +41,9 @@ import numpy as np
 from .geometry import Box
 from .kb import Fact, Vocabulary
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# The parameter tables a version 2 checkpoint stores, as ModelParams attributes.
+_TABLES = ("entity_base", "entity_bump", "box_a", "box_b")
 
 # Gradient slot keys: ("base", entity), ("bump", entity), ("boxa", slot), ("boxb", slot)
 SlotKey = tuple[str, int]
@@ -422,32 +425,36 @@ def score_gradient(params: ModelParams, fact: Fact) -> GradMap:
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write a self-contained JSON checkpoint (exact binary64 round-trip).
+    """Write a self-contained checkpoint: one JSON object, version 2.
+
+    The header holds the vocabulary (entity names, relation names and
+    arities), ``d``, ``n_slots``, the flags and ``slot_of`` (each relation's
+    box slot ids, so boxes tied by rule injection stay tied after a load).
+    Each of the tables ``entity_base``, ``entity_bump``, ``box_a`` and
+    ``box_b`` is base64 text of its C-order little-endian float64 bytes.
+    The box tables keep every slot, stale aliased rows too, so
+    ``load_checkpoint`` gives back ``params`` bit for bit, and equal params
+    give byte-identical files.
 
     The file is written beside ``path`` and renamed over it, so ``path``
     holds either the previous checkpoint or the new one, never a torn write.
     """
     vocab = params.vocab
-    rel_boxes = []
-    for rel in range(vocab.n_relations):
-        slots = params.slot_of[rel]
-        rel_boxes.append({
-            "corner_a": params.box_a[slots].tolist(),
-            "corner_b": params.box_b[slots].tolist(),
-        })
     payload = {
         "version": CHECKPOINT_VERSION,
         "entities": vocab.entity_names,
         "relations": vocab.relation_names,
         "arities": vocab.relation_arities,
         "d": params.d,
+        "n_slots": params.n_slots,
         "norm_order": params.norm_order,
         "bounded": params.bounded,
         "per_dim_branch": params.per_dim_branch,
-        "entity_base": params.entity_base.tolist(),
-        "entity_bump": params.entity_bump.tolist(),
-        "relation_boxes": rel_boxes,
+        "slot_of": [slots.tolist() for slots in params.slot_of],
     }
+    for name in _TABLES:
+        table = np.asarray(getattr(params, name), dtype="<f8")
+        payload[name] = base64.b64encode(table.tobytes()).decode("ascii")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -476,18 +483,98 @@ def _checkpoint_table(rows, n_rows: int, d: int, what: str) -> np.ndarray:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint, raising ValueError unless every relation has one
-    box per position and every table is finite with the right shape."""
+    """Read a version 2 or version 1 checkpoint, or raise ValueError.
+
+    Both versions are rejected unless the entity and relation names are
+    lists of strings, each relation has a positive int arity, ``d`` is a
+    positive int, ``bounded`` and ``per_dim_branch`` are bools, every table
+    has the right shape and every value is finite.  A version 1 file
+    (per-relation float lists, no slot map) also needs one box per
+    position; it loads with one independent slot per position.  A version 2
+    file needs each table to decode to exactly rows * d * 8 bytes and each
+    relation's ``slot_of`` row to hold one int in [0, n_slots) per position.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    read_tables = ({1: _v1_tables, 2: _v2_tables}.get(version)
+                   if type(version) is int else None)
+    if read_tables is None:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    header = _checkpoint_header(payload)
+    return ModelParams(**header, **read_tables(payload, header["vocab"], header["d"]))
+
+
+def _checkpoint_header(payload: dict) -> dict:
+    """The vocabulary, ``d`` and flags both versions store, checked."""
+    entities, names, arities = payload["entities"], payload["relations"], payload["arities"]
+    if not (all(isinstance(part, list) for part in (entities, names, arities))
+            and all(type(name) is str for name in entities + names)):
+        raise ValueError("checkpoint vocabulary is not lists of entity names, "
+                         "relation names and arities")
+    if len(names) != len(arities):
+        raise ValueError(f"checkpoint has {len(names)} relation names and "
+                         f"{len(arities)} arities")
+    if not all(type(arity) is int and arity >= 1 for arity in arities):
+        raise ValueError("checkpoint holds an arity that is not a positive int")
     vocab = Vocabulary()
-    for name in payload["entities"]:
+    for name in entities:
         vocab.entity_id(name, create=True)
-    for name, arity in zip(payload["relations"], payload["arities"]):
+    for name, arity in zip(names, arities):
         vocab.relation_id(name, arity=arity, create=True)
     d = payload["d"]
+    if type(d) is not int or d < 1:
+        raise ValueError(f"checkpoint d is {d!r}, not a positive int")
+    flags = {"norm_order": payload["norm_order"], "bounded": payload["bounded"],
+             "per_dim_branch": payload.get("per_dim_branch", False)}
+    for key in ("bounded", "per_dim_branch"):
+        if type(flags[key]) is not bool:
+            raise ValueError(f"checkpoint {key} is {flags[key]!r}, not a bool")
+    return {"vocab": vocab, "d": d, **flags}
+
+
+def _v2_tables(payload: dict, vocab: Vocabulary, d: int) -> dict:
+    """The slot map and the four tables of a version 2 payload, checked."""
+    n_slots = payload["n_slots"]
+    if type(n_slots) is not int or n_slots < 0:
+        raise ValueError(f"checkpoint n_slots is {n_slots!r}, not a count")
+    rows = payload["slot_of"]
+    if not isinstance(rows, list) or len(rows) != vocab.n_relations:
+        raise ValueError(f"checkpoint slot_of is not {vocab.n_relations} slot rows")
+    slot_of = []
+    for name, arity, row in zip(vocab.relation_names, vocab.relation_arities, rows):
+        if not isinstance(row, list) or len(row) != arity:
+            raise ValueError(f"relation {name!r} of arity {arity} has a slot row "
+                             f"of another length")
+        if not all(type(s) is int and 0 <= s < n_slots for s in row):
+            raise ValueError(f"relation {name!r} has a slot id that is not an "
+                             f"int in [0, {n_slots})")
+        slot_of.append(np.array(row, dtype=np.int64))
+    n_e = vocab.n_entities
+    n_rows = {"entity_base": n_e, "entity_bump": n_e, "box_a": n_slots, "box_b": n_slots}
+    return {"slot_of": slot_of,
+            **{name: _decoded_table(payload[name], n_rows[name], d, name)
+               for name in _TABLES}}
+
+
+def _decoded_table(text, n_rows: int, d: int, what: str) -> np.ndarray:
+    """Base64 ``<f8`` text as an (n_rows, d) table of finite values, or ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"checkpoint {what} is not base64 text")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ValueError(f"checkpoint {what} is not base64: {exc}") from exc
+    if len(raw) != n_rows * d * 8:
+        raise ValueError(f"checkpoint {what} is not {n_rows} rows of length {d}")
+    table = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n_rows, d)
+    if not np.isfinite(table).all():
+        raise ValueError(f"checkpoint {what} holds a non-finite value")
+    return table
+
+
+def _v1_tables(payload: dict, vocab: Vocabulary, d: int) -> dict:
+    """The tables of a version 1 payload, checked, with one slot per position."""
     boxes = payload["relation_boxes"]
     if len(boxes) != vocab.n_relations:
         raise ValueError(f"checkpoint has {len(boxes)} box sets for "
@@ -504,15 +591,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         slot_of.append(np.arange(offset, offset + arity, dtype=np.int64))
         offset += arity
     n_e = vocab.n_entities
-    return ModelParams(
-        vocab=vocab,
-        d=d,
-        entity_base=_checkpoint_table(payload["entity_base"], n_e, d, "entity_base"),
-        entity_bump=_checkpoint_table(payload["entity_bump"], n_e, d, "entity_bump"),
-        box_a=_checkpoint_table(box_a_rows, offset, d, "corner_a"),
-        box_b=_checkpoint_table(box_b_rows, offset, d, "corner_b"),
-        slot_of=slot_of,
-        norm_order=payload["norm_order"],
-        bounded=payload["bounded"],
-        per_dim_branch=payload.get("per_dim_branch", False),
-    )
+    return {
+        "entity_base": _checkpoint_table(payload["entity_base"], n_e, d, "entity_base"),
+        "entity_bump": _checkpoint_table(payload["entity_bump"], n_e, d, "entity_bump"),
+        "box_a": _checkpoint_table(box_a_rows, offset, d, "corner_a"),
+        "box_b": _checkpoint_table(box_b_rows, offset, d, "corner_b"),
+        "slot_of": slot_of,
+    }
+

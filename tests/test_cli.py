@@ -265,6 +265,21 @@ def test_eval_missing_checkpoint(capsys, data, tmp_path):
     assert "checkpoint not found" in err
 
 
+def test_eval_corrupted_checkpoint(capsys, data, tmp_path):
+    outdir = data["tmp"] / "run"
+    assert run_main(capsys, train_argv(data, outdir))[0] == 0
+    ckpt = outdir / "best.json"
+    payload = json.loads(ckpt.read_text())
+    assert payload["version"] == 2
+    payload["box_a"] = payload["box_a"][:-4]  # a table cut short
+    ckpt.write_text(json.dumps(payload))
+    code, _, err = run_main(capsys, [
+        "eval", "--checkpoint", str(ckpt),
+        "--train", data["train"], "--split", "train"])
+    assert code == 1
+    assert "cannot load checkpoint" in err
+
+
 def test_eval_bad_ks(capsys, data):
     outdir = data["tmp"] / "run"
     assert run_main(capsys, train_argv(data, outdir))[0] == 0

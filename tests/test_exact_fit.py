@@ -4,11 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
+from boxkb.geometry import contains
 from boxkb.kb import Fact, Vocabulary
 from boxkb.exact_fit import (ExactFitError, TableFormatError, TruthTable,
                              build_all_true, classify, dim_index,
                              enumerate_universe, fit, flip_fact, parse_table,
                              write_table)
+from boxkb.model import final_embedding
 
 
 def make_vocab(n_entities=2, arities=(2,)):
@@ -207,3 +209,63 @@ def test_flip_locality_on_random_walk():
         after = snapshot(model, v)
         changed = [k for k in before if before[k] != after[k]]
         assert changed == [target]
+
+
+# -- classification -----------------------------------------------------------
+
+def classify_reference(model, fact):
+    """The former classification: a validated ``Box`` per position and a
+    ``contains`` test on each final point."""
+    padded = model.pad((fact.relation, *fact.entities))
+    rel, ents = padded[0], padded[1:]
+    pts = final_embedding(model.params, Fact(rel, ents))
+    for p in range(model.n_max):
+        if not contains(model.params.effective_box(rel, p), pts[p]):
+            return False
+    return True
+
+
+def fit_test_models():
+    """The models the fit tests above build, in their order."""
+    v = make_vocab(n_entities=2, arities=(2,))
+    for bits in itertools.product((0, 1), repeat=4):
+        yield v, fit(table_from_bits(v, bits))
+    v = make_vocab(n_entities=2, arities=(3,))
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=8))
+        yield v, fit(table_from_bits(v, bits))
+    v = make_vocab(n_entities=2, arities=(1, 2))
+    yield v, fit(table_from_bits(v, (1, 0, 0, 1, 1, 0)))
+    v = make_vocab(n_entities=3, arities=(2, 2))
+    model = build_all_true(v)
+    keys = enumerate_universe(v)
+    for key in np.random.default_rng(3).permutation(len(keys))[:8]:
+        flip_fact(model, Fact(keys[int(key)][0], keys[int(key)][1:]))
+        yield v, model
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_classify_matches_the_per_box_reference(bounded):
+    checked = 0
+    for v, model in fit_test_models():
+        model.params.bounded = bounded
+        for key in enumerate_universe(v):
+            fact = Fact(key[0], key[1:])
+            assert classify(model, fact) == classify_reference(model, fact), key
+            checked += 1
+    assert checked == 16 * 4 + 6 * 8 + 6 + 8 * 18
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_classify_counts_the_box_boundary_as_inside(bounded):
+    v = make_vocab(n_entities=2, arities=(2,))
+    model = build_all_true(v)
+    model.params.bounded = bounded
+    fact = Fact(0, (0, 1))
+    pts = final_embedding(model.params, fact)
+    slot = int(model.params.slot_of[0][1])
+    model.params.box_a[slot] = pts[1]  # the lower corner through the point
+    assert classify(model, fact) and classify_reference(model, fact)
+    model.params.box_a[slot, 0] = np.nextafter(pts[1, 0], 1.0)
+    assert not classify(model, fact) and not classify_reference(model, fact)

@@ -1,4 +1,5 @@
 """Scoring model: distances, final embeddings, gradients, checkpoints."""
+import base64
 import json
 
 import numpy as np
@@ -389,9 +390,39 @@ def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
     assert sorted(tmp_path.iterdir()) == [path]
 
 
-def _tampered_checkpoint(tmp_path, edit):
+def save_checkpoint_v1(params: ModelParams, path) -> None:
+    """The version 1 writer: per-relation JSON float lists and no slot map.
+    Kept here so that version 1 files, and the checks made on them, stay
+    tested now that ``save_checkpoint`` writes version 2."""
+    vocab = params.vocab
+    rel_boxes = []
+    for rel in range(vocab.n_relations):
+        slots = params.slot_of[rel]
+        rel_boxes.append({
+            "corner_a": params.box_a[slots].tolist(),
+            "corner_b": params.box_b[slots].tolist(),
+        })
+    payload = {
+        "version": 1,
+        "entities": vocab.entity_names,
+        "relations": vocab.relation_names,
+        "arities": vocab.relation_arities,
+        "d": params.d,
+        "norm_order": params.norm_order,
+        "bounded": params.bounded,
+        "per_dim_branch": params.per_dim_branch,
+        "entity_base": params.entity_base.tolist(),
+        "entity_bump": params.entity_bump.tolist(),
+        "relation_boxes": rel_boxes,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+def _tampered_checkpoint(tmp_path, edit, save=save_checkpoint_v1):
     path = tmp_path / "ck.json"
-    save_checkpoint(make_params(n_entities=4, arities=(2, 3), d=3, seed=6), path)
+    save(make_params(n_entities=4, arities=(2, 3), d=3, seed=6), path)
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
@@ -445,3 +476,178 @@ def test_checkpoint_scores_survive_round_trip(tmp_path):
     q = load_checkpoint(path)
     for fact in [Fact(0, (0, 1)), Fact(0, (3, 2))]:
         assert score(q, fact) == score(p, fact)
+
+
+TABLES = ("entity_base", "entity_bump", "box_a", "box_b")
+
+
+def assert_same_params(p, q):
+    """Bit-for-bit equality of two ModelParams, the slot map included."""
+    assert q.vocab.entity_names == p.vocab.entity_names
+    assert q.vocab.relation_names == p.vocab.relation_names
+    assert q.vocab.relation_arities == p.vocab.relation_arities
+    assert (q.d, q.norm_order, q.bounded, q.per_dim_branch) == \
+        (p.d, p.norm_order, p.bounded, p.per_dim_branch)
+    for name in TABLES:
+        a, b = getattr(p, name), getattr(q, name)
+        assert b.shape == a.shape and b.tobytes() == a.tobytes(), name
+    assert [s.tolist() for s in q.slot_of] == [s.tolist() for s in p.slot_of]
+
+
+def test_checkpoint_v1_and_v2_files_load_to_equal_tables(tmp_path):
+    p = make_params(n_entities=5, arities=(2, 3, 1), d=4, seed=12, norm_order=1)
+    p.per_dim_branch = True
+    save_checkpoint_v1(p, tmp_path / "v1.json")
+    save_checkpoint(p, tmp_path / "v2.json")
+    assert json.loads((tmp_path / "v2.json").read_text())["version"] == 2
+    assert_same_params(load_checkpoint(tmp_path / "v1.json"),
+                       load_checkpoint(tmp_path / "v2.json"))
+
+
+def _table_bytes(payload, name):
+    return bytearray(base64.b64decode(payload[name]))
+
+
+def _set_table_bytes(payload, name, raw):
+    payload[name] = base64.b64encode(bytes(raw)).decode("ascii")
+
+
+@pytest.mark.parametrize("text", ["not base64!", "AAAA=AAA", "été", 12])
+def test_checkpoint_v2_rejects_a_table_that_is_not_base64(tmp_path, text):
+    def garble(payload):
+        payload["entity_bump"] = text
+    with pytest.raises(ValueError, match="entity_bump is not base64"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, garble, save_checkpoint))
+
+
+@pytest.mark.parametrize("table,rows", [("entity_base", 4), ("box_b", 5)])
+@pytest.mark.parametrize("change", [-8, -1, 8])
+def test_checkpoint_v2_rejects_a_wrong_byte_count(tmp_path, table, rows, change):
+    def resize(payload):
+        raw = _table_bytes(payload, table)
+        raw = raw[:change] if change < 0 else raw + bytes(change)
+        _set_table_bytes(payload, table, raw)
+    with pytest.raises(ValueError, match=f"{table} is not {rows} rows of length 3"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, resize, save_checkpoint))
+
+
+@pytest.mark.parametrize("table", ["entity_base", "box_a"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_v2_rejects_non_finite_bit_patterns(tmp_path, table, value):
+    def poison(payload):
+        raw = _table_bytes(payload, table)
+        raw[5 * 8:6 * 8] = np.array([value], dtype="<f8").tobytes()
+        _set_table_bytes(payload, table, raw)
+    with pytest.raises(ValueError, match=f"{table} holds a non-finite value"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, poison, save_checkpoint))
+
+
+@pytest.mark.parametrize("slot", [-1, 5, 99, 1.0, "1", True, None])
+def test_checkpoint_v2_rejects_a_bad_slot_id(tmp_path, slot):
+    def bad(payload):
+        payload["slot_of"][1][2] = slot
+    with pytest.raises(ValueError, match=r"'r1' has a slot id that is not an int in \[0, 5\)"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, bad, save_checkpoint))
+
+
+@pytest.mark.parametrize("edit", [lambda row: row.pop(), lambda row: row.append(0)])
+def test_checkpoint_v2_rejects_a_slot_row_of_another_length(tmp_path, edit):
+    with pytest.raises(ValueError, match="'r0' of arity 2 has a slot row of another length"):
+        load_checkpoint(_tampered_checkpoint(
+            tmp_path, lambda payload: edit(payload["slot_of"][0]), save_checkpoint))
+
+
+def test_checkpoint_v2_rejects_a_slot_map_of_another_length(tmp_path):
+    with pytest.raises(ValueError, match="slot_of is not 2 slot rows"):
+        load_checkpoint(_tampered_checkpoint(
+            tmp_path, lambda payload: payload["slot_of"].pop(), save_checkpoint))
+
+
+@pytest.mark.parametrize("n_slots", [-1, 2.0, "5", None])
+def test_checkpoint_v2_rejects_a_bad_slot_count(tmp_path, n_slots):
+    def bad(payload):
+        payload["n_slots"] = n_slots
+    with pytest.raises(ValueError, match="n_slots is .*, not a count"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, bad, save_checkpoint))
+
+
+@pytest.mark.parametrize("version", [0, 3, "2", 2.0, True, None])
+def test_checkpoint_load_rejects_an_unknown_version(tmp_path, version):
+    def bad(payload):
+        payload["version"] = version
+    with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, bad, save_checkpoint))
+
+
+@pytest.mark.parametrize("save", [save_checkpoint_v1, save_checkpoint])
+@pytest.mark.parametrize("key,value", [("bounded", "false"), ("bounded", 0),
+                                       ("per_dim_branch", "true"),
+                                       ("per_dim_branch", None)])
+def test_checkpoint_load_requires_bool_flags(tmp_path, save, key, value):
+    def bad(payload):
+        payload[key] = value
+    with pytest.raises(ValueError, match=f"{key} is {value!r}, not a bool"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, bad, save))
+
+
+@pytest.mark.parametrize("save", [save_checkpoint_v1, save_checkpoint])
+@pytest.mark.parametrize("d", [0, -3, 3.0, "3", True])
+def test_checkpoint_load_requires_a_positive_int_d(tmp_path, save, d):
+    def bad(payload):
+        payload["d"] = d
+    with pytest.raises(ValueError, match="d is .*, not a positive int"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, bad, save))
+
+
+@pytest.mark.parametrize("save", [save_checkpoint_v1, save_checkpoint])
+@pytest.mark.parametrize("key,value,message", [
+    ("relations", 5, "vocabulary is not lists"),
+    ("entities", "e0 e1 e2 e3", "vocabulary is not lists"),
+    ("entities", [0, 1, 2, 3], "vocabulary is not lists"),
+    ("relations", ["r0", ["r1"]], "vocabulary is not lists"),
+    ("arities", [2, 0], "an arity that is not a positive int"),
+    ("arities", [2, "3"], "an arity that is not a positive int"),
+    ("arities", {"r0": 2, "r1": 3}, "vocabulary is not lists"),
+    ("arities", [2], "2 relation names and 1 arities"),
+])
+def test_checkpoint_load_rejects_a_malformed_vocabulary(tmp_path, save, key, value,
+                                                        message):
+    def bad(payload):
+        payload[key] = value
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(_tampered_checkpoint(tmp_path, bad, save))
+
+
+# -0.0, subnormals (the smallest of each sign, and one near the normal range)
+# and ordinary values, each of which must come back with the same bits
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1.1125369292536007e-308)
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def checkpoint_params(draw):
+    arities = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    p = make_params(n_entities=draw(st.integers(1, 3)), arities=arities,
+                    d=draw(st.integers(1, 3)), norm_order=draw(st.sampled_from([1, 2])),
+                    bounded=draw(st.booleans()))
+    p.per_dim_branch = draw(st.booleans())
+    for name in TABLES:
+        table = getattr(p, name)
+        values = draw(st.lists(finite_floats, min_size=table.size, max_size=table.size))
+        table[...] = np.array(values, dtype=np.float64).reshape(table.shape)
+        table.flat[0], table.flat[-1] = -0.0, 5e-324
+    slot = st.integers(0, p.n_slots - 1)
+    p.merge_slots(draw(st.lists(st.tuples(slot, slot), max_size=4)))
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=checkpoint_params())
+def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, p):
+    tmp = tmp_path_factory.mktemp("ck")
+    a, b = tmp / "a.json", tmp / "b.json"
+    save_checkpoint(p, a)
+    save_checkpoint(p, b)
+    assert a.read_bytes() == b.read_bytes()
+    assert_same_params(p, load_checkpoint(a))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxkb.kb import Vocabulary
-from boxkb.model import init_params
+from boxkb.model import init_params, load_checkpoint, save_checkpoint
 from boxkb.rules import (ANTISYMMETRY, COMPOSITION, EXCLUSION, FORM_ARITY,
                          HIERARCHY, INTERSECTION, INVERSION, SYMMETRY,
                          InconsistentRulesError, InjectionPlan,
@@ -16,7 +16,8 @@ from boxkb.rules import (ANTISYMMETRY, COMPOSITION, EXCLUSION, FORM_ARITY,
                          apply_projection, box_stats, check_capture,
                          check_consistency, deductive_closure, inject,
                          parse_rules)
-from boxkb.synth import hierarchy_ontology_kb
+from boxkb.synth import hierarchy_ontology_kb, random_binary_kb
+from boxkb.training import OptimizerState, TrainConfig, train_epoch
 
 # ---------------------------------------------------------------------------
 # Independent semantic oracle: a rule set entails a rule iff every
@@ -449,6 +450,27 @@ def test_inject_inversion_chain_keeps_two_classes():
     slots = {int(p.slot_of[r][pos]) for r in range(3) for pos in range(2)}
     assert len(slots) == 2
     assert not check_capture(p, Rule(SYMMETRY, (0,))).captured
+
+
+def test_injected_sharing_survives_a_checkpoint_round_trip(tmp_path):
+    kb = random_binary_kb(n_entities=12, n_relations=3, n_facts=60, seed=2)
+    params = init_params(kb.vocab, 4, np.random.default_rng(7))
+    rules = [Rule(SYMMETRY, (0,)), Rule(INVERSION, (1, 2))]
+    inject(rules, params)
+    path = tmp_path / "ck.json"
+    save_checkpoint(params, path)
+    loaded = load_checkpoint(path)
+    assert [s.tolist() for s in loaded.slot_of] == [s.tolist() for s in params.slot_of]
+    for rule in rules:
+        assert check_capture(loaded, rule).captured
+    # training moves tied positions along different gradients, so only
+    # shared parameters keep their boxes bitwise equal
+    train_epoch(loaded, OptimizerState(), kb,
+                TrainConfig(learning_rate=0.05, batch_size=16, seed=3))
+    for (r, p), (s, q) in [((0, 0), (0, 1)), ((1, 0), (2, 1)), ((1, 1), (2, 0))]:
+        a, b = loaded.effective_box(r, p), loaded.effective_box(s, q)
+        assert a.lower.tobytes() == b.lower.tobytes()
+        assert a.upper.tobytes() == b.upper.tobytes()
 
 
 def test_inject_hierarchy_makes_containment_hold():
