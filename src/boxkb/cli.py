@@ -16,8 +16,10 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +31,8 @@ from .model import init_params, load_checkpoint, save_checkpoint
 from .rules import (InconsistentRulesError, RuleError, UnsupportedRuleError,
                     box_stats, check_capture, deductive_closure, inject,
                     parse_rules)
-from .training import (STREAM_INIT, TrainConfig, TrainingAbort, stream_rng,
-                       train_model)
+from .training import (STREAM_INIT, TrainConfig, TrainingAbort, setting,
+                       stream_rng, train_model)
 
 log = logging.getLogger("boxkb")
 
@@ -40,36 +42,27 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    train: str = ""
-    valid: str = ""
-    test: str = ""
-    format: str = FORMAT_TRIPLE
-    d: int = 50
-    norm_order: int = 2
-    bounded: bool = True
-    rules: str = ""
-    outdir: str = ""
-    workers: int = 1
-    augment_inverses: bool = False
-    learning_rate: float = 1e-3
-    margin: float = 3.0
-    negatives: int = 10
-    adversarial_temperature: float = 1.0
-    batch_size: int = 256
-    epochs: int = 100
-    seed: int = 0
-    checkpoint_every: int = 100
-    filter_train_negatives: bool = False
+class DataConfig:
+    """The data settings ``eval`` shares with ``train``."""
+    train: str = setting("", "training split path")
+    valid: str = setting("", "validation split path")
+    test: str = setting("", "test split path")
+    format: str = setting(FORMAT_TRIPLE, "data file format",
+                          choices=[FORMAT_TRIPLE, FORMAT_NARY])
+    workers: int = setting(1, "parallel evaluation workers (1 is bit-reproducible)")
+    augment_inverses: bool = setting(
+        False, "add an inverse relation and reversed fact per fact")
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate, margin=self.margin,
-            negatives=self.negatives,
-            adversarial_temperature=self.adversarial_temperature,
-            batch_size=self.batch_size, epochs=self.epochs, seed=self.seed,
-            checkpoint_every=self.checkpoint_every,
-            filter_train_negatives=self.filter_train_negatives)
+
+@dataclass
+class RunConfig(TrainConfig, DataConfig):
+    """Every ``train`` setting; each field is a flag, a config-file key and a
+    ``config.txt`` line."""
+    d: int = setting(50, "embedding dimensionality")
+    norm_order: int = setting(2, "distance norm (1 or 2)")
+    bounded: bool = setting(True, "squash points and corners through tanh")
+    rules: str = setting("", "rule file to inject before training")
+    outdir: str = setting("", "output directory")
 
     def validate(self) -> None:
         if not self.train:
@@ -83,34 +76,38 @@ class RunConfig:
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         try:
-            self.train_config().validate()
+            super().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
 
-_BOOL_FIELDS = {"bounded", "augment_inverses", "filter_train_negatives"}
+_SETTING_TYPES = typing.get_type_hints(RunConfig)
 
 
-def _coerce(field: str, raw: str):
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    if field not in types:
-        raise ConfigError(f"unknown config key {field!r}")
-    if field in _BOOL_FIELDS:
+def _coerce(key: str, raw: str):
+    kind = _SETTING_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
-        raise ConfigError(f"config key {field!r} expects a boolean, got {raw!r}")
-    kind = {"str": str, "int": int, "float": float}[types[field]]
+        raise ConfigError(f"config key {key!r} expects a boolean, got {raw!r}")
     try:
         return kind(raw)
     except ValueError:
-        raise ConfigError(f"config key {field!r} expects {types[field]}, got {raw!r}")
+        raise ConfigError(f"config key {key!r} expects {kind.__name__}, got {raw!r}")
+
+
+# key = "value" or 'value', then an optional comment: a quoted value may hold '#'
+_QUOTED_LINE = re.compile(r"""\s*([^#=]*?)\s*=\s*(["'])(.*?)\2\s*(?:#.*)?""")
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; # comments; quotes around strings optional."""
+    """Flat ``key = value`` lines; # comments; quotes around strings optional
+    (a value that holds ``#`` must be quoted)."""
     values = {}
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -118,13 +115,17 @@ def parse_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     with fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = text.partition("=")
-            key, raw = key.strip(), raw.strip().strip("\"'")
+            quoted = _QUOTED_LINE.fullmatch(line.rstrip("\n"))
+            if quoted:
+                key, raw = quoted[1], quoted[3]
+            else:
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                if "=" not in text:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                key, _, raw = text.partition("=")
+                key, raw = key.strip(), raw.strip().strip("\"'")
             values[key] = _coerce(key, raw)
     return values
 
@@ -135,6 +136,9 @@ def write_config_file(cfg: RunConfig, path) -> None:
             value = getattr(cfg, f.name)
             if isinstance(value, bool):
                 value = "true" if value else "false"
+            elif isinstance(value, str):
+                quote = "'" if '"' in value else '"'
+                value = f"{quote}{value}{quote}"
             fh.write(f"{f.name} = {value}\n")
 
 
@@ -204,31 +208,30 @@ def cmd_train(args: argparse.Namespace) -> int:
         log.info("injected %d rules (%d containments, initial growth %d)",
                  len(rules), len(plan.containments), plan.initial_growth)
     write_config_file(cfg, outdir / "config.txt")
-    best = {"mrr": -1.0, "epoch": None}
+    best = {"mrr": None, "epoch": None}
     best_path = outdir / "best.json"
     stats: dict = {}
 
     def on_checkpoint(epoch: int, params, metrics: dict) -> None:
         save_checkpoint(params, outdir / "checkpoint.json")
+        mrr = None
         if kb.valid:
-            m = evaluate(params, kb, "valid", workers=cfg.workers)
-            log.info("epoch %d: valid filtered MRR %.4f", epoch, m["mrr"])
-            if m["mrr"] > best["mrr"]:
-                best.update(mrr=m["mrr"], epoch=epoch)
-                save_checkpoint(params, best_path)
-        else:
-            best.update(mrr=None, epoch=epoch)
+            mrr = evaluate(params, kb, "valid", workers=cfg.workers)["mrr"]
+            log.info("epoch %d: valid filtered MRR %.4f", epoch, mrr)
+        # with no valid split, best is simply the latest checkpoint
+        if mrr is None or best["mrr"] is None or mrr > best["mrr"]:
+            best.update(mrr=mrr, epoch=epoch)
             save_checkpoint(params, best_path)
 
     with open(outdir / "metrics.jsonl", "w", encoding="utf-8") as metrics_fh:
-        history = train_model(params, kb, cfg.train_config(),
+        history = train_model(params, kb, cfg,
                               projection_plan=plan, metrics_fh=metrics_fh,
                               on_checkpoint=on_checkpoint, stats=stats)
     _emit({
         "epochs": len(history),
         "final": history[-1] if history else None,
-        "best": best if kb.valid else {"mrr": None, "epoch": best["epoch"]},
-        "best_checkpoint": str(best_path),
+        "best": best,
+        "best_checkpoint": None if best["epoch"] is None else str(best_path),
         "stats": stats,
     })
     return 0
@@ -345,39 +348,17 @@ def cmd_box_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_config_args(p: argparse.ArgumentParser, with_training: bool) -> None:
+def _add_setting_flags(p: argparse.ArgumentParser, cls) -> None:
+    """One ``--kebab-name`` flag per field of the settings dataclass ``cls``,
+    typed by its annotation, with the field metadata as ``argparse`` keywords.
+    An unset flag stays None, so the config file and defaults show through."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--train", help="training split path")
-    p.add_argument("--valid", help="validation split path")
-    p.add_argument("--test", help="test split path")
-    p.add_argument("--format", choices=[FORMAT_TRIPLE, FORMAT_NARY],
-                   help="data file format")
-    p.add_argument("--workers", type=int, help="parallel evaluation workers "
-                   "(1 is bit-reproducible)")
-    p.add_argument("--augment-inverses", dest="augment_inverses",
-                   action=argparse.BooleanOptionalAction,
-                   help="add an inverse relation and reversed fact per fact")
-    if with_training:
-        p.add_argument("--d", type=int, help="embedding dimensionality")
-        p.add_argument("--norm-order", dest="norm_order", type=int,
-                       help="distance norm (1 or 2)")
-        p.add_argument("--bounded", action=argparse.BooleanOptionalAction,
-                       help="squash points and corners through tanh")
-        p.add_argument("--rules", help="rule file to inject before training")
-        p.add_argument("--outdir", help="output directory")
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--margin", type=float)
-        p.add_argument("--negatives", type=int)
-        p.add_argument("--adversarial-temperature",
-                       dest="adversarial_temperature", type=float)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-        p.add_argument("--filter-train-negatives",
-                       dest="filter_train_negatives",
-                       action=argparse.BooleanOptionalAction,
-                       help="re-draw negatives that are known training facts")
+    for f in dataclasses.fields(cls):
+        kind = _SETTING_TYPES[f.name]
+        typed = ({"action": argparse.BooleanOptionalAction} if kind is bool
+                 else {"type": kind})
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       **typed, **f.metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model")
-    _add_run_config_args(p, with_training=True)
+    _add_setting_flags(p, RunConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=["train", "valid", "test"])
     p.add_argument("--ks", default="1,3,10", help="comma-separated Hits@K cutoffs")
-    _add_run_config_args(p, with_training=False)
+    _add_setting_flags(p, DataConfig)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("fit-exact", help="exactly fit a truth table")
@@ -413,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     pi = rsub.add_parser("inject-check",
                          help="consistency check plus dry-run injection")
     pi.add_argument("--rules", required=True)
-    pi.add_argument("--d", type=int, default=50)
-    pi.add_argument("--seed", type=int, default=0)
+    pi.add_argument("--d", type=int, default=RunConfig.d)
+    pi.add_argument("--seed", type=int, default=RunConfig.seed)
     p.set_defaults(func=cmd_rules)
 
     p = sub.add_parser("box-stats", help="box shape report for a checkpoint")

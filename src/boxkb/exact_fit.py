@@ -238,16 +238,11 @@ def build_all_true(vocab: Vocabulary) -> ExactFitModel:
 
 def _classify_padded(model: ExactFitModel, padded: tuple) -> bool:
     """Every final point inside its box, boundary inclusive: one array test
-    on the (n, d) points against the raw corners' min/max (tanh'd when
-    ``bounded``, as ``effective_box`` does)."""
+    on the (n, d) points against the relation's ``effective_bounds``."""
     params = model.params
     rel, ents = padded[0], padded[1:]
     pts = final_embedding(params, Fact(rel, ents))
-    slots = params.slot_of[rel]
-    a, b = params.box_a[slots], params.box_b[slots]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    if params.bounded:
-        lo, hi = np.tanh(lo), np.tanh(hi)
+    lo, hi = params.effective_bounds(params.slot_of[rel])
     return bool((lo <= pts).all() and (pts <= hi).all())
 
 

@@ -104,9 +104,16 @@ class ModelParams:
     def slots_in_use(self) -> np.ndarray:
         return np.unique(np.concatenate(self.slot_of)) if self.slot_of else np.empty(0, np.int64)
 
-    def raw_bounds(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        a, b = self.box_a[slot], self.box_b[slot]
+    def raw_bounds(self, slots) -> tuple[np.ndarray, np.ndarray]:
+        a, b = self.box_a[slots], self.box_b[slots]
         return np.minimum(a, b), np.maximum(a, b)
+
+    def effective_bounds(self, slots) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of the boxes in ``slots`` (a slot id or an
+        array of them): the min and max of the two free corners, through tanh
+        when the model is ``bounded``."""
+        lo, hi = self.raw_bounds(slots)
+        return (np.tanh(lo), np.tanh(hi)) if self.bounded else (lo, hi)
 
     def set_raw_lower(self, slot: int, dim: int, value: float) -> None:
         # write through whichever free corner currently holds the minimum
@@ -122,11 +129,7 @@ class ModelParams:
             self.box_a[slot, dim] = value
 
     def effective_box(self, relation: int, position: int) -> Box:
-        slot = int(self.slot_of[relation][position])
-        lo, hi = self.raw_bounds(slot)
-        if self.bounded:
-            lo, hi = np.tanh(lo), np.tanh(hi)
-        return Box(lo, hi)
+        return Box(*self.effective_bounds(int(self.slot_of[relation][position])))
 
     def merge_slots(self, pairs: list[tuple[int, int]]) -> dict[int, int]:
         """Alias box slots so the listed pairs share one parameter vector.
@@ -240,13 +243,9 @@ def _bound_points(params: ModelParams, pts: np.ndarray) -> np.ndarray:
 
 def _box_tensors(params: ModelParams, relation: int):
     slots = params.slot_of[relation]
-    a, b = params.box_a[slots], params.box_b[slots]
-    lo_raw, hi_raw = np.minimum(a, b), np.maximum(a, b)
-    if params.bounded:
-        lo, hi = np.tanh(lo_raw), np.tanh(hi_raw)
-    else:
-        lo, hi = lo_raw, hi_raw
-    return (slots, lo, hi, *_box_shape(lo, hi), a <= b)
+    lo, hi = params.effective_bounds(slots)
+    a_is_min = params.box_a[slots] <= params.box_b[slots]
+    return (slots, lo, hi, *_box_shape(lo, hi), a_is_min)
 
 
 def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,

@@ -24,6 +24,7 @@ never perturbs the shuffle order.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -56,19 +57,30 @@ class TrainingAbort(RuntimeError):
         self.diagnostic = diagnostic
 
 
+def setting(default, doc: str, **flag):
+    """A run-setting field: its default, plus the ``argparse`` keywords of its
+    command-line flag (``help`` and any extra, such as ``choices``)."""
+    return field(default=default, metadata={"help": doc, **flag})
+
+
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
-    margin: float = 3.0
-    negatives: int = 10
-    adversarial_temperature: float = 1.0
-    batch_size: int = 256
-    epochs: int = 100
-    seed: int = 0
-    checkpoint_every: int = 100
-    filter_train_negatives: bool = False
+    learning_rate: float = setting(1e-3, "Adam step size")
+    margin: float = setting(3.0, "loss margin on the distance scores")
+    negatives: int = setting(10, "corrupted facts drawn per positive")
+    adversarial_temperature: float = setting(
+        1.0, "softmax temperature of the negative weights (0 is uniform)")
+    batch_size: int = setting(256, "positive facts per batch")
+    epochs: int = setting(100, "training epochs")
+    seed: int = setting(0, "run seed; every random stream derives from it")
+    checkpoint_every: int = setting(100, "epochs between checkpoints")
+    filter_train_negatives: bool = setting(
+        False, "re-draw negatives that are known training facts")
 
     def validate(self) -> None:
+        for name in ("learning_rate", "margin", "adversarial_temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
         if self.margin <= 0:

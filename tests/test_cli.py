@@ -1,13 +1,15 @@
 """Command-line interface: config files, subcommands, exit codes."""
 
+import argparse
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from boxkb.cli import (ConfigError, RunConfig, build_parser, load_run_config,
-                       main, parse_config_file, write_config_file)
+from boxkb.cli import (ConfigError, DataConfig, RunConfig, build_parser,
+                       load_run_config, main, parse_config_file,
+                       write_config_file)
 from boxkb.kb import Vocabulary
 from boxkb.model import init_params, load_checkpoint, save_checkpoint
 from boxkb.training import STREAM_INIT, stream_rng
@@ -47,13 +49,18 @@ def run_main(capsys, argv):
 # -- config files --
 
 
+# one valid, non-default value per RunConfig field
+NON_DEFAULT = dict(train="a.tsv", valid="b.tsv", test="c.tsv",
+                   format="tsv-nary", d=17, norm_order=1, bounded=False,
+                   rules="r.txt", outdir="out", workers=3,
+                   augment_inverses=True, learning_rate=0.25, margin=5.0,
+                   negatives=4, adversarial_temperature=0.5, batch_size=32,
+                   epochs=9, seed=11, checkpoint_every=2,
+                   filter_train_negatives=True)
+
+
 def test_config_file_round_trip(tmp_path):
-    cfg = RunConfig(train="a.tsv", valid="b.tsv", format="tsv-nary", d=17,
-                    norm_order=1, bounded=False, rules="r.txt", outdir="out",
-                    workers=3, augment_inverses=True, learning_rate=0.25,
-                    margin=5.0, negatives=4, adversarial_temperature=0.5,
-                    batch_size=32, epochs=9, seed=11, checkpoint_every=2,
-                    filter_train_negatives=True)
+    cfg = RunConfig(**NON_DEFAULT)
     path = tmp_path / "run.cfg"
     write_config_file(cfg, path)
     values = parse_config_file(path)
@@ -74,6 +81,16 @@ def test_config_file_comments_quotes_blanks(tmp_path):
     values = parse_config_file(path)
     assert values == {"train": "data/train.tsv", "outdir": "runs/demo",
                       "bounded": False, "epochs": 3}
+
+
+def test_config_file_quoted_values_keep_hashes(tmp_path):
+    cfg = RunConfig(train="tr#1.tsv", valid='say "hi" #2.tsv', outdir="o # p")
+    path = tmp_path / "run.cfg"
+    write_config_file(cfg, path)
+    assert RunConfig(**parse_config_file(path)) == cfg
+    path.write_text('train = "a#b.tsv"  # the "real" path\n'
+                    "outdir = 'x#y'\n", encoding="utf-8")
+    assert parse_config_file(path) == {"train": "a#b.tsv", "outdir": "x#y"}
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -112,6 +129,10 @@ def test_run_config_validation():
     # TrainConfig problems surface as ConfigError too
     with pytest.raises(ConfigError):
         RunConfig(train="x", negatives=0).validate()
+    for key in ("learning_rate", "margin", "adversarial_temperature"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                RunConfig(train="x", **{key: value}).validate()
     RunConfig(train="x").validate()
 
 
@@ -126,6 +147,45 @@ def test_cli_flags_override_config_file(tmp_path):
     assert cfg.d == 12                   # from file
     assert cfg.epochs == 9               # flag wins
     assert cfg.bounded is True           # flag wins over file
+
+
+def _option_actions(subcommand):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[subcommand]._actions if a.option_strings]
+
+
+def test_flags_come_from_the_settings_fields(tmp_path):
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    # each field has exactly one train flag: --name with _ spelled -
+    train_actions = _option_actions("train")
+    for name in fields:
+        flag = "--" + name.replace("_", "-")
+        owners = [a for a in train_actions if flag in a.option_strings]
+        assert len(owners) == 1 and owners[0].dest == name, name
+    assert {a.dest for a in train_actions} == {"help", "config", *fields}
+    # eval exposes the data fields and its own four options, nothing else
+    data_fields = {f.name for f in dataclasses.fields(DataConfig)}
+    assert data_fields < set(fields)
+    assert ({a.dest for a in _option_actions("eval")}
+            == {"help", "config", "checkpoint", "split", "ks", *data_fields})
+    # a non-default value for each field reaches the loaded RunConfig
+    defaults = RunConfig()
+    argv = ["train"]
+    for name, value in NON_DEFAULT.items():
+        assert value != getattr(defaults, name), name
+        flag = name.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(f"--{flag}" if value else f"--no-{flag}")
+        else:
+            argv += [f"--{flag}", str(value)]
+    assert set(NON_DEFAULT) == set(fields)
+    cfg = load_run_config(build_parser().parse_args(argv))
+    assert cfg == RunConfig(**NON_DEFAULT)
+    # and survives a config.txt round trip
+    path = tmp_path / "config.txt"
+    write_config_file(cfg, path)
+    assert RunConfig(**parse_config_file(path)) == cfg
 
 
 def test_boolean_optional_action():
@@ -170,6 +230,35 @@ def test_train_end_to_end(capsys, data):
     assert rec["epoch"] == 0 and np.isfinite(rec["mean_loss"])
     params = load_checkpoint(outdir / "best.json")
     assert params.vocab.n_relations == 2
+
+
+def test_train_replays_from_config_txt_with_hash_in_paths(capsys, tmp_path):
+    train = write_lines(tmp_path / "tr#1.tsv", TRAIN_LINES)
+    valid = write_lines(tmp_path / "va # 2.tsv", VALID_LINES)
+    first = tmp_path / "first#run"
+    data = {"train": train, "valid": valid}
+    assert run_main(capsys, train_argv(data, first))[0] == 0
+    replay = tmp_path / "replay"
+    code, out, err = run_main(capsys, [
+        "train", "--config", str(first / "config.txt"), "--outdir", str(replay)])
+    assert code == 0, err
+    assert json.loads(out)["epochs"] == 4
+    saved = parse_config_file(replay / "config.txt")
+    assert saved["train"] == train and saved["valid"] == valid
+    assert ((first / "best.json").read_bytes()
+            == (replay / "best.json").read_bytes())
+
+
+def test_train_zero_epochs_names_no_checkpoint(capsys, data):
+    outdir = data["tmp"] / "none"
+    code, out, _ = run_main(capsys, train_argv(data, outdir, extra=["--epochs", "0"]))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["epochs"] == 0 and summary["final"] is None
+    assert summary["best"] == {"mrr": None, "epoch": None}
+    assert summary["best_checkpoint"] is None
+    assert not (outdir / "best.json").exists()
+    assert not (outdir / "checkpoint.json").exists()
 
 
 def test_train_without_outdir_fails(capsys, data):

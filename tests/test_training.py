@@ -449,6 +449,11 @@ def test_train_config_validation():
     for bad in [TrainConfig(learning_rate=-1), TrainConfig(margin=0),
                 TrainConfig(negatives=0), TrainConfig(batch_size=0),
                 TrainConfig(adversarial_temperature=-0.5),
-                TrainConfig(epochs=-1), TrainConfig(checkpoint_every=0)]:
+                TrainConfig(epochs=-1), TrainConfig(checkpoint_every=0),
+                TrainConfig(learning_rate=float("nan")),
+                TrainConfig(learning_rate=float("inf")),
+                TrainConfig(margin=float("inf")), TrainConfig(margin=float("nan")),
+                TrainConfig(adversarial_temperature=float("inf")),
+                TrainConfig(adversarial_temperature=float("nan"))]:
         with pytest.raises(ValueError):
             bad.validate()
