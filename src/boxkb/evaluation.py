@@ -25,9 +25,16 @@ a ``kb.fact_index`` of ``kb.known`` (the membership test that training uses
 to filter negatives); ``evaluate`` builds the index once per call,
 ``rank_fact`` for its fact's relation only.
 
-Ranks are integers gathered in canonical (fact, position) order before any
-averaging, so metrics cannot depend on evaluation order or parallel
-partitioning.
+The unit of work is one distinct query, keyed by (relation, position, other
+entities): facts that differ only at the ranked position pose the same
+query, and neither the candidate scores nor the filter depend on the
+target.  ``evaluate`` groups its rankings by key and, key by key in sorted
+order (one query per worker live at a time), forms one score vector and one
+filter mask and ranks every target of the query from them.
+
+Ranks are integers written back into their canonical (fact, position) slots
+before any averaging, so metrics cannot depend on query order, on the
+grouping, or on parallel partitioning.
 """
 from __future__ import annotations
 
@@ -61,32 +68,25 @@ def _candidate_scores(params: ModelParams, fact: Fact, position: int,
                                   base_less_bump)
 
 
-def _position_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
-                    position: int, base_less_bump: np.ndarray) -> tuple[int, int]:
-    """(raw, filtered) rank of ``fact`` at ``position``; the filter drops the
-    candidates that are facts in ``index``, a ``kb.fact_index``."""
+def _query_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
+                 position: int, targets: list[int],
+                 base_less_bump: np.ndarray) -> list[tuple[int, int]]:
+    """(raw, filtered) rank of each of ``targets`` at ``position`` of the query
+    ``fact`` poses there, from one score vector and one filter mask; the
+    filter drops the candidates that are facts in ``index``, a
+    ``kb.fact_index``."""
     rows, scores = _candidate_scores(params, fact, position, base_less_bump)
-    target = fact.entities[position]
     include = ~known_rows(index, fact.relation, rows)
-    return (rank_from_scores(scores, target, None),
-            rank_from_scores(scores, target, include))
+    return [(rank_from_scores(scores, t, None), rank_from_scores(scores, t, include))
+            for t in targets]
 
 
 def rank_fact(params: ModelParams, kb: KnowledgeBase, fact: Fact,
               position: int, filtered: bool) -> int:
     """Rank of ``fact`` against all substitutions at ``position``."""
     index = fact_index(f for f in kb.known if f.relation == fact.relation)
-    return _position_ranks(params, index, fact, position,
-                           params.entity_base - params.entity_bump)[filtered]
-
-
-def _fact_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
-                base_less_bump: np.ndarray | None = None) -> list[tuple[int, int]]:
-    """(raw, filtered) rank per position of one fact."""
-    if base_less_bump is None:
-        base_less_bump = params.entity_base - params.entity_bump
-    return [_position_ranks(params, index, fact, p, base_less_bump)
-            for p in range(fact.arity)]
+    return _query_ranks(params, index, fact, position, [fact.entities[position]],
+                        params.entity_base - params.entity_bump)[0][filtered]
 
 
 def metrics_from_ranks(ranks: list[int], ks: tuple[int, ...]) -> dict:
@@ -109,16 +109,35 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str,
              ks: tuple[int, ...] = (1, 3, 10), workers: int = 1) -> dict:
     """Filtered (headline) and raw metrics over one split."""
     facts = ranked_facts(kb, split)
+    # (relation, position, other entities) -> a fact posing that query, the
+    # position, and the canonical slots and targets of its rankings
+    queries: dict[tuple, tuple[Fact, int, list[int], list[int]]] = {}
+    n_rankings = 0
+    for fact in facts:
+        for position, target in enumerate(fact.entities):
+            key = (fact.relation, position,
+                   fact.entities[:position] + fact.entities[position + 1:])
+            _, _, slots, targets = queries.setdefault(key, (fact, position, [], []))
+            slots.append(n_rankings)
+            targets.append(target)
+            n_rankings += 1
+    work = [queries[key] for key in sorted(queries)]
     index = fact_index(kb.known)
     base_less_bump = params.entity_base - params.entity_bump
-    if workers > 1 and len(facts) > 1:
+
+    def ranks(query):
+        fact, position, _, targets = query
+        return _query_ranks(params, index, fact, position, targets, base_less_bump)
+
+    if workers > 1 and len(work) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_fact = list(pool.map(
-                lambda f: _fact_ranks(params, index, f, base_less_bump), facts))
+            per_query = list(pool.map(ranks, work))
     else:
-        per_fact = [_fact_ranks(params, index, f, base_less_bump) for f in facts]
-    raw = [r for ranks in per_fact for r, _ in ranks]
-    filt = [f for ranks in per_fact for _, f in ranks]
+        per_query = [ranks(query) for query in work]
+    raw, filt = [0] * n_rankings, [0] * n_rankings
+    for (_, _, slots, _), pairs in zip(work, per_query):
+        for i, (r, f) in zip(slots, pairs):
+            raw[i], filt[i] = r, f
     out = {"split": split, "n_facts": len(facts)}
     out.update(metrics_from_ranks(filt, ks))
     out["raw"] = metrics_from_ranks(raw, ks)

@@ -346,6 +346,22 @@ def test_eval_reports_wall_time_and_rankings_per_second(capsys, data):
     assert report["rankings_per_s"] > 0.0
 
 
+def test_eval_rankings_per_second_counts_rankings_not_queries(capsys, data):
+    # six (fact, position) rankings, but "? knows dan" and "bob knows ?" are
+    # each asked twice, so only four distinct queries
+    test = write_lines(data["tmp"] / "test.tsv",
+                       ["ada\tknows\tdan", "bob\tknows\tdan", "bob\tknows\tada"])
+    outdir = data["tmp"] / "run"
+    assert run_main(capsys, train_argv(data, outdir))[0] == 0
+    code, out, _ = run_main(capsys, [
+        "eval", "--checkpoint", str(outdir / "best.json"),
+        "--train", data["train"], "--valid", data["valid"], "--test", test,
+        "--split", "test"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["rankings_per_s"] * report["wall_ms"] / 1000 == pytest.approx(6, rel=1e-9)
+
+
 def test_eval_missing_checkpoint(capsys, data, tmp_path):
     code, _, err = run_main(capsys, [
         "eval", "--checkpoint", str(tmp_path / "nope.json"),

@@ -1,4 +1,5 @@
 """Ranking, tie handling, filtering, and metric arithmetic."""
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkb.kb import Fact, KnowledgeBase, Vocabulary, augment_inverses, fact_index
-from boxkb.model import init_params, score_batch
-from boxkb.evaluation import (_candidate_scores, _fact_ranks, evaluate,
-                              metrics_from_ranks, rank_fact, rank_from_scores)
+from boxkb import evaluation
+from boxkb.kb import (Fact, KnowledgeBase, Vocabulary, augment_inverses, fact_index,
+                      known_rows)
+from boxkb.model import init_params, score_batch, score_candidates
+from boxkb.evaluation import (_candidate_scores, _query_ranks, evaluate,
+                              metrics_from_ranks, rank_fact, rank_from_scores,
+                              ranked_facts)
+from boxkb.rules import inject
+from boxkb.synth import hierarchy_ontology_kb
+from boxkb.training import OptimizerState, TrainConfig, train_epoch
 
 
 def kb_with(vocab, train=(), valid=(), test=()):
@@ -210,6 +217,7 @@ def test_filtered_ranking_matches_reference_fact_loop(case):
         empty = {1, 3}  # relation 1 and its inverse
     params = tied_params(kb.vocab, 3)
     index = fact_index(kb.known)
+    base_less_bump = params.entity_base - params.entity_bump
     assert empty.isdisjoint(index)
     # targets: every known fact, inverse helpers included, and facts of
     # every relation that are not known
@@ -217,7 +225,8 @@ def test_filtered_ranking_matches_reference_fact_loop(case):
     assert empty <= {f.relation for f in unknown}
     filtered_below_raw = 0
     for fact in sorted(kb.known) + unknown:
-        ranks = _fact_ranks(params, index, fact)
+        ranks = [_query_ranks(params, index, fact, p, [fact.entities[p]], base_less_bump)[0]
+                 for p in range(fact.arity)]
         for p in range(fact.arity):
             expect = reference_position_ranks(params, kb, fact, p)
             assert ranks[p] == expect, (fact, p)
@@ -308,3 +317,169 @@ def test_candidate_scores_working_set_does_not_grow_with_arity():
         peaks[arity] = peak
     assert peaks[4] <= 1.25 * peaks[2], peaks
     assert max(peaks.values()) <= 4 * table, peaks
+
+
+# -- one score vector per distinct query --------------------------------------
+
+def reference_evaluate(params, kb, split, ks=(1, 3, 10)):
+    """``evaluate`` as it was before rankings were grouped by query: each
+    (fact, position) ranking scores and filters all |E| candidates itself."""
+    index = fact_index(kb.known)
+    base_less_bump = params.entity_base - params.entity_bump
+
+    def position_ranks(fact, position):
+        n_e = params.vocab.n_entities
+        rows = np.tile(np.array(fact.entities, dtype=np.int64), (n_e, 1))
+        rows[:, position] = np.arange(n_e)
+        scores = score_candidates(params, fact.relation, fact.entities, position,
+                                  base_less_bump)
+        target = fact.entities[position]
+        include = ~known_rows(index, fact.relation, rows)
+        return (rank_from_scores(scores, target, None),
+                rank_from_scores(scores, target, include))
+
+    facts = ranked_facts(kb, split)
+    per_fact = [[position_ranks(f, p) for p in range(f.arity)] for f in facts]
+    raw = [r for ranks in per_fact for r, _ in ranks]
+    filt = [f for ranks in per_fact for _, f in ranks]
+    out = {"split": split, "n_facts": len(facts)}
+    out.update(metrics_from_ranks(filt, ks))
+    out["raw"] = metrics_from_ranks(raw, ks)
+    return out
+
+
+def query_keys(facts):
+    """(relation, position, other entities) of every ranking of ``facts``."""
+    return [(f.relation, p, f.entities[:p] + f.entities[p + 1:])
+            for f in facts for p in range(f.arity)]
+
+
+def vocab_of(n_entities, arities):
+    v = Vocabulary()
+    for i in range(n_entities):
+        v.entity_id(f"e{i}", create=True)
+    for i, a in enumerate(arities):
+        v.relation_id(f"r{i}", arity=a, create=True)
+    return v
+
+
+def every_other_test(vocab, facts):
+    """Every other distinct fact is a test fact, the rest are training facts."""
+    facts = sorted(set(facts))
+    return kb_with(vocab, train=facts[1::2], test=facts[::2])
+
+
+def trained_hierarchy(seed=2):
+    kb, rules = hierarchy_ontology_kb(n_entities=30, leaf_facts=20, ancestor_facts=6,
+                                      seed=seed)
+    params = init_params(kb.vocab, 6, np.random.default_rng(seed))
+    plan = inject(rules, params)
+    cfg = TrainConfig(learning_rate=0.05, negatives=4, batch_size=32, seed=seed,
+                      filter_train_negatives=True)
+    optimizer = OptimizerState()
+    for epoch in range(3):
+        train_epoch(params, optimizer, kb, cfg, projection_plan=plan, epoch=epoch)
+    return params, kb
+
+
+def shared_query_case(case):
+    """(params, kb) whose test rankings share queries; params round coarsely,
+    so that candidates tie, except for the trained hierarchy."""
+    rng = np.random.default_rng(21)
+    if case == "unary":
+        # all facts of the unary relation pose the one query (r0, 0, ())
+        v = vocab_of(7, (1, 2))
+        kb = every_other_test(v, [Fact(0, (e,)) for e in range(7)]
+                              + [Fact(1, (int(a), int(b))) for a, b in rng.integers(0, 7, (10, 2))])
+    elif case == "repeated-entities":
+        v = vocab_of(5, (2,))
+        kb = every_other_test(v, [Fact(0, (a, a)) for a in range(5)]
+                              + [Fact(0, (int(a), int(b))) for a, b in rng.integers(0, 5, (12, 2))])
+    elif case == "arity-3-4":
+        # substitutions of a few anchors, so facts share co-participants
+        v = vocab_of(6, (3, 4))
+        facts = []
+        for rel, arity in ((0, 3), (1, 4)):
+            for _ in range(3):
+                anchor = tuple(int(e) for e in rng.integers(0, 6, arity))
+                facts += [Fact(rel, anchor[:p] + (int(e),) + anchor[p + 1:])
+                          for p in range(arity) for e in rng.integers(0, 6, 2)]
+        kb = every_other_test(v, facts)
+    elif case == "inverse-augmented":
+        v = vocab_of(5, (2, 2))
+        kb = augment_inverses(every_other_test(
+            v, [Fact(int(r), (int(a), int(b)))
+                for r, a, b in zip(rng.integers(0, 2, 24), rng.integers(0, 5, 24),
+                                   rng.integers(0, 5, 24))]))
+    else:
+        return trained_hierarchy()
+    return tied_params(kb.vocab, 7), kb
+
+
+SHARED_QUERY_CASES = ("unary", "repeated-entities", "arity-3-4", "inverse-augmented",
+                      "hierarchy-trained")
+
+
+@pytest.mark.parametrize("case", SHARED_QUERY_CASES)
+def test_evaluate_matches_the_per_fact_reference(case):
+    params, kb = shared_query_case(case)
+    keys = query_keys(ranked_facts(kb, "test"))
+    assert len(set(keys)) < len(keys)  # some rankings share a query
+    expect = reference_evaluate(params, kb, "test")
+    assert expect["mr"] < expect["raw"]["mr"]  # the filter moved some rank
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the pool's threads finely
+    try:
+        for workers in (1, 2, 3):
+            assert evaluate(params, kb, "test", workers=workers) == expect, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_candidate_scores_run_once_per_distinct_query(monkeypatch):
+    kb, _ = hierarchy_ontology_kb(n_entities=30, leaf_facts=20, ancestor_facts=6, seed=2)
+    params = init_params(kb.vocab, 4, np.random.default_rng(2))
+    keys = query_keys(ranked_facts(kb, "test"))
+    assert len(set(keys)) < len(keys)
+    score = evaluation._candidate_scores
+    for workers in (1, 2):
+        calls = []
+
+        def counting(params, fact, position, base_less_bump):
+            calls.append((fact.relation, position,
+                          fact.entities[:position] + fact.entities[position + 1:]))
+            return score(params, fact, position, base_less_bump)
+
+        monkeypatch.setattr(evaluation, "_candidate_scores", counting)
+        evaluation.evaluate(params, kb, "test", workers=workers)
+        assert sorted(calls) == sorted(set(keys)), workers
+
+
+def test_evaluate_holds_one_query_per_worker():
+    # ~1000 distinct binary queries.  Each one's working set is a few (E, d)
+    # tables (see test_candidate_scores_working_set_does_not_grow_with_arity)
+    # and its score vector is E floats, so holding every query's scores at
+    # once would break the bound.
+    n_e, d = 2000, 16
+    table = n_e * d * 8
+    per_query = 4096  # bookkeeping: a query's slots and targets, and a pool future
+    v = vocab_of(n_e, (2, 2, 2, 2))
+    rng = np.random.default_rng(0)
+    test = {Fact(int(r), (int(a), int(b)))
+            for r, a, b in zip(rng.integers(0, 4, 520), rng.integers(0, n_e, 520),
+                               rng.integers(0, n_e, 520))}
+    kb = kb_with(v, test=sorted(test))
+    n_queries = len(set(query_keys(kb.test)))
+    assert n_queries >= 1000
+    params = init_params(v, d, np.random.default_rng(1))
+    for workers in (1, 2):
+        bound = (1 + 4 * workers) * table + per_query * n_queries
+        assert n_queries * n_e * 8 > bound
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evaluate(params, kb, "test", workers=workers)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (workers, peak / table)
