@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .evaluation import evaluate, ranked_facts
-from .exact_fit import TableFormatError, fit, parse_table
+from .exact_fit import ExactFitError, TableFormatError, fit, parse_table
 from .kb import (FORMAT_NARY, FORMAT_TRIPLE, Fact, KBFormatError,
                  KnowledgeBase, Vocabulary, augment_inverses, parse_kb)
 from .model import init_params, load_checkpoint, save_checkpoint
@@ -49,7 +49,8 @@ class DataConfig:
     test: str = setting("", "test split path")
     format: str = setting(FORMAT_TRIPLE, "data file format",
                           choices=[FORMAT_TRIPLE, FORMAT_NARY])
-    workers: int = setting(1, "parallel evaluation workers (1 is bit-reproducible)")
+    workers: int = setting(
+        1, "parallel evaluation workers; they change only evaluation speed")
     augment_inverses: bool = setting(
         False, "add an inverse relation and reversed fact per fact")
 
@@ -418,7 +419,8 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(exc.diagnostic, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (ConfigError, KBFormatError, RuleError, TableFormatError) as exc:
+    except (ConfigError, KBFormatError, RuleError, TableFormatError,
+            ExactFitError) as exc:
         log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return 1

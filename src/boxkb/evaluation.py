@@ -30,7 +30,9 @@ entities): facts that differ only at the ranked position pose the same
 query, and neither the candidate scores nor the filter depend on the
 target.  ``evaluate`` groups its rankings by key and, key by key in sorted
 order (one query per worker live at a time), forms one score vector and one
-filter mask and ranks every target of the query from them.
+filter mask and ranks every target of the query from them.  With several
+workers, each takes one strided shard of the sorted keys, so the pool's
+bookkeeping does not grow with the query count.
 
 Ranks are integers written back into their canonical (fact, position) slots
 before any averaging, so metrics cannot depend on query order, on the
@@ -124,20 +126,20 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str,
     work = [queries[key] for key in sorted(queries)]
     index = fact_index(kb.known)
     base_less_bump = params.entity_base - params.entity_bump
+    raw, filt = [0] * n_rankings, [0] * n_rankings
 
-    def ranks(query):
-        fact, position, _, targets = query
-        return _query_ranks(params, index, fact, position, targets, base_less_bump)
+    def rank_all(shard):
+        for fact, position, slots, targets in shard:
+            pairs = _query_ranks(params, index, fact, position, targets, base_less_bump)
+            for i, (r, f) in zip(slots, pairs):
+                raw[i], filt[i] = r, f
 
     if workers > 1 and len(work) > 1:
+        # one strided shard per worker, so the pool holds `workers` futures
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_query = list(pool.map(ranks, work))
+            list(pool.map(rank_all, [work[i::workers] for i in range(workers)]))
     else:
-        per_query = [ranks(query) for query in work]
-    raw, filt = [0] * n_rankings, [0] * n_rankings
-    for (_, _, slots, _), pairs in zip(work, per_query):
-        for i, (r, f) in zip(slots, pairs):
-            raw[i], filt[i] = r, f
+        rank_all(work)
     out = {"split": split, "n_facts": len(facts)}
     out.update(metrics_from_ranks(filt, ks))
     out["raw"] = metrics_from_ranks(raw, ks)

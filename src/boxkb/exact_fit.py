@@ -79,9 +79,6 @@ class TruthTable:
     def n_facts(self) -> int:
         return len(self.truth)
 
-    def is_true(self, fact: Fact) -> bool:
-        return self.truth[(fact.relation, *fact.entities)]
-
 
 def enumerate_universe(vocab: Vocabulary) -> list[tuple]:
     """All (relation, *entities) keys over the vocabulary, in canonical order."""
@@ -198,6 +195,9 @@ class ExactFitModel:
     flips: int = 0
     exact: bool | None = None
     witness: dict[tuple, tuple[int, int]] = field(default_factory=dict)
+    # the classification of every universe key: all True when built, and
+    # False once a flip succeeds (a flip changes no other key)
+    labels: dict[tuple, bool] = field(default_factory=dict)
 
     @property
     def all_binary(self) -> bool:
@@ -215,11 +215,8 @@ def build_all_true(vocab: Vocabulary) -> ExactFitModel:
         raise ValueError("universe must have at least one relation and entity")
     n_e = vocab.n_entities
     d = vocab.n_relations * n_e ** (n_max - 1)
-    internal = Vocabulary()
-    for name in vocab.entity_names:
-        internal.entity_id(name, create=True)
-    for name in vocab.relation_names:
-        internal.relation_id(name, arity=n_max, create=True)
+    internal = Vocabulary(list(vocab.entity_names), list(vocab.relation_names),
+                          [n_max] * vocab.n_relations)
     n_slots = vocab.n_relations * n_max
     params = ModelParams(
         vocab=internal,
@@ -233,7 +230,8 @@ def build_all_true(vocab: Vocabulary) -> ExactFitModel:
         norm_order=2,
         bounded=False,
     )
-    return ExactFitModel(params=params, vocab=vocab, n_max=n_max)
+    return ExactFitModel(params=params, vocab=vocab, n_max=n_max,
+                         labels=dict.fromkeys(enumerate_universe(vocab), True))
 
 
 def _classify_padded(model: ExactFitModel, padded: tuple) -> bool:
@@ -251,11 +249,6 @@ def classify(model: ExactFitModel, fact: Fact) -> bool:
     if fact.arity != model.vocab.arity(fact.relation):
         raise ValueError("fact arity does not match relation arity")
     return _classify_padded(model, model.pad((fact.relation, *fact.entities)))
-
-
-def _classification_snapshot(model: ExactFitModel) -> dict[tuple, bool]:
-    return {key: _classify_padded(model, model.pad(key))
-            for key in enumerate_universe(model.vocab)}
 
 
 def _flip_binary(model: ExactFitModel, fact: Fact) -> None:
@@ -401,12 +394,12 @@ def flip_fact(model: ExactFitModel, fact: Fact) -> bool:
     """
     if not classify(model, fact):
         return False
+    key = (fact.relation, *fact.entities)
     if model.all_binary:
         _flip_binary(model, fact)
     else:
-        expected = _classification_snapshot(model)
-        expected[(fact.relation, *fact.entities)] = False
-        _flip_general(model, fact, expected)
+        _flip_general(model, fact, {**model.labels, key: False})
+    model.labels[key] = False
     model.flips += 1
     return True
 
@@ -418,19 +411,9 @@ def fit(table: TruthTable) -> ExactFitModel:
         raise ValueError(
             "exact fitting requires at least one relation of arity > 1")
     model = build_all_true(table.vocab)
-    if model.all_binary:
-        for key in sorted(table.truth):
-            if not table.truth[key]:
-                flip_fact(model, Fact(key[0], key[1:]))
-    else:
-        # flips leave all other bits untouched, so the expected
-        # classification can be maintained incrementally
-        expected = {key: True for key in table.truth}
-        for key in sorted(table.truth):
-            if not table.truth[key]:
-                expected[key] = False
-                _flip_general(model, Fact(key[0], key[1:]), expected)
-                model.flips += 1
+    for key in sorted(table.truth):
+        if not table.truth[key]:
+            flip_fact(model, Fact(key[0], key[1:]))
     model.exact = all(classify(model, Fact(key[0], key[1:])) == want
                       for key, want in table.truth.items())
     return model

@@ -14,7 +14,7 @@ evaluation uses it to drop candidates that are known facts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -40,13 +40,32 @@ class Fact(NamedTuple):
         return len(self.entities)
 
 
+def _name_ids(names: list[str], what: str) -> dict[str, int]:
+    """Each name's position in ``names``; KBFormatError for a repeated name."""
+    ids: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if ids.setdefault(name, i) != i:
+            raise KBFormatError(f"repeated {what} name {name!r}")
+    return ids
+
+
 @dataclass
 class Vocabulary:
+    """Entity and relation names interned to dense ids in list order.  The
+    id maps are built from the name lists on construction; ``entity_id`` and
+    ``relation_id`` with ``create`` append a new name."""
     entity_names: list[str] = field(default_factory=list)
     relation_names: list[str] = field(default_factory=list)
     relation_arities: list[int] = field(default_factory=list)
-    _entity_ids: dict[str, int] = field(default_factory=dict, repr=False)
-    _relation_ids: dict[str, int] = field(default_factory=dict, repr=False)
+    _entity_ids: dict[str, int] = field(init=False, compare=False, repr=False)
+    _relation_ids: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if len(self.relation_arities) != len(self.relation_names):
+            raise KBFormatError(f"{len(self.relation_names)} relation names but "
+                                f"{len(self.relation_arities)} arities")
+        self._entity_ids = _name_ids(self.entity_names, "entity")
+        self._relation_ids = _name_ids(self.relation_names, "relation")
 
     @property
     def n_entities(self) -> int:
@@ -88,13 +107,8 @@ class Vocabulary:
         return rid
 
     def copy(self) -> "Vocabulary":
-        return Vocabulary(
-            list(self.entity_names),
-            list(self.relation_names),
-            list(self.relation_arities),
-            dict(self._entity_ids),
-            dict(self._relation_ids),
-        )
+        return Vocabulary(list(self.entity_names), list(self.relation_names),
+                          list(self.relation_arities))
 
 
 @dataclass(frozen=True)
@@ -243,12 +257,12 @@ def augment_inverses(kb: KnowledgeBase) -> KnowledgeBase:
     r_orig = vocab.n_relations
     if any(a != 2 for a in vocab.relation_arities[:r_orig]):
         raise KBFormatError("inverse augmentation requires all relations binary")
-    new_vocab = vocab.copy()
-    for name in vocab.relation_names[:r_orig]:
-        inv_name = name + INVERSE_SUFFIX
-        if inv_name in new_vocab._relation_ids:
+    inv_names = [name + INVERSE_SUFFIX for name in vocab.relation_names]
+    for inv_name in inv_names:
+        if inv_name in vocab._relation_ids:
             raise KBFormatError(f"inverse relation name collision: {inv_name!r}")
-        new_vocab.relation_id(inv_name, arity=2, create=True)
+    new_vocab = Vocabulary(list(vocab.entity_names), vocab.relation_names + inv_names,
+                           vocab.relation_arities + [2] * r_orig)
 
     def augmented(facts: tuple[Fact, ...]) -> tuple[Fact, ...]:
         out: list[Fact] = []

@@ -55,29 +55,6 @@ def bound(raw: np.ndarray) -> np.ndarray:
     return np.tanh(raw)
 
 
-class UnionFind:
-    """Disjoint sets over hashable keys, created on first sight; the smaller
-    root wins a union, so canonical representatives are stable."""
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            lo, hi = sorted((rx, ry))
-            self.parent[hi] = lo
-
-
 @dataclass
 class ModelParams:
     vocab: Vocabulary
@@ -100,9 +77,6 @@ class ModelParams:
     @property
     def n_slots(self) -> int:
         return self.box_a.shape[0]
-
-    def slots_in_use(self) -> np.ndarray:
-        return np.unique(np.concatenate(self.slot_of)) if self.slot_of else np.empty(0, np.int64)
 
     def raw_bounds(self, slots) -> tuple[np.ndarray, np.ndarray]:
         a, b = self.box_a[slots], self.box_b[slots]
@@ -138,10 +112,18 @@ class ModelParams:
         slot of each class is its smallest member; aliased slots keep their
         stale parameters but are no longer referenced.
         """
-        uf = UnionFind()
+        parent = list(range(self.n_slots))  # the smaller root wins a union
+
+        def find(s: int) -> int:
+            while parent[s] != s:
+                parent[s] = parent[parent[s]]  # path halving
+                s = parent[s]
+            return s
+
         for s, t in pairs:
-            uf.union(s, t)
-        mapping = {s: uf.find(s) for s in range(self.n_slots)}
+            rs, rt = find(s), find(t)
+            parent[max(rs, rt)] = min(rs, rt)
+        mapping = {s: find(s) for s in range(self.n_slots)}
         for rel in range(len(self.slot_of)):
             self.slot_of[rel] = np.array([mapping[int(s)] for s in self.slot_of[rel]],
                                          dtype=np.int64)
@@ -516,11 +498,7 @@ def _checkpoint_header(payload: dict) -> dict:
                          f"{len(arities)} arities")
     if not all(type(arity) is int and arity >= 1 for arity in arities):
         raise ValueError("checkpoint holds an arity that is not a positive int")
-    vocab = Vocabulary()
-    for name in entities:
-        vocab.entity_id(name, create=True)
-    for name, arity in zip(names, arities):
-        vocab.relation_id(name, arity=arity, create=True)
+    vocab = Vocabulary(entities, names, arities)
     d = payload["d"]
     if type(d) is not int or d < 1:
         raise ValueError(f"checkpoint d is {d!r}, not a positive int")

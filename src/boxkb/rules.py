@@ -33,6 +33,7 @@ through untouched.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .geometry import Box, intersect
 from .kb import Vocabulary
-from .model import ModelParams, UnionFind
+from .model import ModelParams
 
 SYMMETRY = "symmetry"
 ANTISYMMETRY = "antisymmetry"
@@ -152,21 +153,21 @@ def _horn_theory(rules: Iterable[Rule]) -> list[tuple[frozenset[int], int]]:
     return clauses
 
 
-def _forward_chain(seeds: frozenset[int],
-                   clauses: list[tuple[frozenset[int], int]],
-                   parents: dict | None = None) -> frozenset[int]:
-    """Unit propagation; optionally records the clause deriving each relation."""
-    known = set(seeds)
+def _forward_chain(seeds: Iterable[int], clauses: list[tuple[frozenset[int], int]]
+                   ) -> dict[int, tuple[frozenset[int], int] | None]:
+    """Unit propagation: every relation that follows from ``seeds``, mapped to
+    the clause that first derived it (None for a seed)."""
+    derived: dict = dict.fromkeys(seeds)
+    known = set(derived)
     changed = True
     while changed:
         changed = False
         for body, head in clauses:
             if head not in known and body <= known:
                 known.add(head)
-                if parents is not None:
-                    parents[head] = (body, head)
+                derived[head] = (body, head)
                 changed = True
-    return frozenset(known)
+    return derived
 
 
 def deductive_closure(rules: list[Rule],
@@ -192,14 +193,12 @@ def deductive_closure(rules: list[Rule],
     universe = sorted(universe)
     out: set[Rule] = set()
     for a in universe:
-        reach_a = _forward_chain(frozenset([a]), clauses)
-        for b in reach_a:
+        for b in _forward_chain([a], clauses):
             if b != a:
                 out.add(Rule(HIERARCHY, (a, b)))
     for i, a in enumerate(universe):
         for b in universe[i + 1:]:
-            reach = _forward_chain(frozenset([a, b]), clauses)
-            for c in reach:
+            for c in _forward_chain([a, b], clauses):
                 if c != a and c != b:
                     out.add(Rule(INTERSECTION, (a, b, c)))
     derived = sorted(out, key=lambda r: (r.form, r.relations))
@@ -232,16 +231,13 @@ class ConflictReport:
         return "\n".join(lines)
 
 
-def _merge_path(edges, start, goal) -> list[Rule]:
-    """Rules along one path from start to goal in the sharing graph."""
-    adj: dict = {}
-    for a, b, rule in edges:
-        adj.setdefault(a, []).append((b, rule))
-        adj.setdefault(b, []).append((a, rule))
+def _merge_path(adj: dict, start, goal) -> list[Rule]:
+    """Rules along one shortest path from ``start`` to ``goal`` (distinct box
+    positions) in the sharing graph ``adj``; empty iff they are not tied."""
     prev = {start: None}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         if node == goal:
             break
         for nxt, rule in adj.get(node, []):
@@ -259,18 +255,18 @@ def _merge_path(edges, start, goal) -> list[Rule]:
     return list(reversed(chain))
 
 
-def _derivation_chain(target: int, seeds: frozenset[int],
-                      clauses: list[tuple[frozenset[int], int]]) -> list[Rule]:
-    parents: dict = {}
-    _forward_chain(seeds, clauses, parents)
+def _derivation_chain(target: int, derived: dict) -> list[Rule]:
+    """The rules deriving ``target`` in ``derived``, a ``_forward_chain``
+    result, premises first."""
     chain: list[Rule] = []
     seen = set()
 
     def emit(rel: int) -> None:
-        if rel in seeds or rel in seen or rel not in parents:
+        clause = derived.get(rel)
+        if clause is None or rel in seen:
             return
         seen.add(rel)
-        body, head = parents[rel]
+        body, head = clause
         for b in body:
             emit(b)
         body_t = tuple(sorted(body))
@@ -291,52 +287,56 @@ def check_consistency(rules: list[Rule],
     implied by some single relation through hierarchy/intersection chains;
     (c) an exclusion pair whose boxes are forced identical by sharing.
     Messages use relation names when a vocabulary is supplied.
+
+    The sharing graph is built once, and a path in it both decides and
+    explains a tie.  With an exclusion rule present, forward chaining runs
+    once per seed of the Horn theory; each exclusion reads every seed's
+    derivations, and the same map explains a conflict.
     """
     def name(rel: int) -> str:
         if vocab is not None:
             return vocab.relation_names[rel]
         return f"relation#{rel}"
 
-    edges = _sharing_edges(rules)
-    uf = UnionFind()
-    for a, b, _ in edges:
-        uf.union(a, b)
-    clauses = _horn_theory(rules)
-    universe = sorted({rel for body, head in clauses for rel in body | {head}})
+    adj: dict = {}
+    for a, b, rule in _sharing_edges(rules):
+        adj.setdefault(a, []).append((b, rule))
+        adj.setdefault(b, []).append((a, rule))
 
     for r in sorted((r for r in rules if r.form == ANTISYMMETRY),
                     key=lambda r: r.relations):
         rel = r.relations[0]
-        if uf.find((rel, 0)) == uf.find((rel, 1)):
-            chain = _merge_path(edges, (rel, 0), (rel, 1))
+        chain = _merge_path(adj, (rel, 0), (rel, 1))
+        if chain:
             return ConflictReport(
                 "symmetry-vs-antisymmetry",
                 f"{name(rel)} is antisymmetric but its head and tail "
                 f"boxes are forced equal",
                 chain=chain + [r])
 
-    for r in sorted((r for r in rules if r.form == EXCLUSION),
-                    key=lambda r: r.relations):
+    exclusions = sorted((r for r in rules if r.form == EXCLUSION),
+                        key=lambda r: r.relations)
+    clauses = _horn_theory(rules) if exclusions else []
+    universe = sorted({rel for body, head in clauses for rel in body | {head}})
+    reach = [(seed, _forward_chain([seed], clauses)) for seed in universe]
+    for r in exclusions:
         e1, e2 = r.relations
-        for seed in universe:
-            reach = _forward_chain(frozenset([seed]), clauses)
-            if e1 in reach and e2 in reach:
-                chain = (_derivation_chain(e1, frozenset([seed]), clauses)
-                         + _derivation_chain(e2, frozenset([seed]), clauses))
+        for seed, derived in reach:
+            if e1 in derived and e2 in derived:
                 return ConflictReport(
                     "implied-overlap",
                     f"any fact of {name(seed)} would satisfy both "
                     f"excluded relations {name(e1)} and {name(e2)}",
-                    chain=chain + [r])
-        if uf.find((e1, 0)) == uf.find((e2, 0)) or uf.find((e1, 1)) == uf.find((e2, 1)):
-            # sharing is flip-compatible, so one matched position means both
-            start, goal = ((e1, 0), (e2, 0)) if uf.find((e1, 0)) == uf.find((e2, 0)) \
-                else ((e1, 1), (e2, 1))
+                    chain=(_derivation_chain(e1, derived)
+                           + _derivation_chain(e2, derived) + [r]))
+        # sharing is flip-compatible, so one matched position means both
+        chain = _merge_path(adj, (e1, 0), (e2, 0)) or _merge_path(adj, (e1, 1), (e2, 1))
+        if chain:
             return ConflictReport(
                 "sharing-vs-exclusion",
                 f"excluded relations {name(e1)} and {name(e2)} share box "
                 f"parameters at every position",
-                chain=_merge_path(edges, start, goal) + [r])
+                chain=chain + [r])
     return None
 
 
@@ -389,55 +389,38 @@ def check_capture(params: ModelParams, rule: Rule, tolerance: float = 0.0
         raise UnsupportedRuleError(
             "composition has no geometric capture condition")
     arity = params.vocab.arity(rels[0])
+    box = params.effective_box
 
     if form == SYMMETRY:
-        ok, w = _boxes_equal(params.effective_box(rels[0], 0),
-                             params.effective_box(rels[0], 1), tolerance)
-        return CaptureResult(ok, w)
-    if form == INVERSION:
-        for p, q in ((0, 1), (1, 0)):
-            ok, w = _boxes_equal(params.effective_box(rels[0], p),
-                                 params.effective_box(rels[1], q), tolerance)
-            if not ok:
-                w["position"] = p
-                return CaptureResult(False, w)
-        return CaptureResult(True, None)
+        return CaptureResult(*_boxes_equal(box(rels[0], 0), box(rels[0], 1),
+                                           tolerance))
     if form == ANTISYMMETRY:
-        head = params.effective_box(rels[0], 0)
-        tail = params.effective_box(rels[0], 1)
-        j = _disjoint_dim(head, tail, tolerance)
+        j = _disjoint_dim(box(rels[0], 0), box(rels[0], 1), tolerance)
         if j is None:
             return CaptureResult(False, {"reason": "head and tail boxes overlap"})
         return CaptureResult(True, {"dimension": j})
-    if form == HIERARCHY:
-        for p in range(arity):
-            ok, w = _contains_with_tol(params.effective_box(rels[1], p),
-                                       params.effective_box(rels[0], p),
-                                       tolerance)
-            if not ok:
-                w["position"] = p
-                return CaptureResult(False, w)
-        return CaptureResult(True, None)
-    if form == INTERSECTION:
-        for p in range(arity):
-            region = intersect(params.effective_box(rels[0], p),
-                               params.effective_box(rels[1], p))
-            if region is None:
-                continue  # empty body region, vacuously satisfied
-            ok, w = _contains_with_tol(params.effective_box(rels[2], p),
-                                       region, tolerance)
-            if not ok:
-                w["position"] = p
-                return CaptureResult(False, w)
-        return CaptureResult(True, None)
     if form == EXCLUSION:
         for p in range(arity):
-            j = _disjoint_dim(params.effective_box(rels[0], p),
-                              params.effective_box(rels[1], p), tolerance)
+            j = _disjoint_dim(box(rels[0], p), box(rels[1], p), tolerance)
             if j is not None:
                 return CaptureResult(True, {"position": p, "dimension": j})
         return CaptureResult(False, {"reason": "no position with disjoint boxes"})
-    raise RuleError(f"unknown rule form {form!r}")
+    for p in range(2 if form == INVERSION else arity):
+        if form == INVERSION:
+            ok, w = _boxes_equal(box(rels[0], p), box(rels[1], 1 - p), tolerance)
+        elif form == HIERARCHY:
+            ok, w = _contains_with_tol(box(rels[1], p), box(rels[0], p), tolerance)
+        elif form == INTERSECTION:
+            region = intersect(box(rels[0], p), box(rels[1], p))
+            if region is None:
+                continue  # empty body region, vacuously satisfied
+            ok, w = _contains_with_tol(box(rels[2], p), region, tolerance)
+        else:
+            raise RuleError(f"unknown rule form {form!r}")
+        if not ok:
+            w["position"] = p
+            return CaptureResult(False, w)
+    return CaptureResult(True, None)
 
 
 @dataclass

@@ -19,12 +19,8 @@ LEAF_RELATIONS = (0, 1, 2, 3)
 
 
 def _make_vocab(n_entities: int, n_relations: int) -> Vocabulary:
-    vocab = Vocabulary()
-    for i in range(n_entities):
-        vocab.entity_id(f"e{i}", create=True)
-    for r in range(n_relations):
-        vocab.relation_id(f"r{r}", arity=2, create=True)
-    return vocab
+    return Vocabulary([f"e{i}" for i in range(n_entities)],
+                      [f"r{r}" for r in range(n_relations)], [2] * n_relations)
 
 
 def random_binary_kb(n_entities: int = 20, n_relations: int = 3,

@@ -42,6 +42,11 @@ STREAM_SHUFFLE = 3
 
 NEGATIVE_RETRY_BOUND = 10
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def stream_rng(seed: int, stream: int, *extra: int) -> np.random.Generator:
     """Independent generator for a named sub-stream of the run seed."""
@@ -122,9 +127,6 @@ class OptimizerState:
 
     The per-table state is allocated on a table's first update.
     """
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     tables: dict[str, AdamMoments] = field(default_factory=dict)
 
     @property
@@ -161,20 +163,20 @@ def adam_update(opt: OptimizerState, params: ModelParams,
         t = state.steps[rows] + 1
         state.steps[rows] = t
         m = state.m[rows]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
         state.m[rows] = m
         v = state.v[rows]
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         state.v[rows] = v
         # learning_rate * m_hat / (sqrt(v_hat) + eps); m and v are copies of
         # the state rows, so v can be overwritten
-        step = m / (1.0 - opt.beta1 ** t)[:, None]
+        step = m / (1.0 - BETA1 ** t)[:, None]
         step *= learning_rate
-        v /= (1.0 - opt.beta2 ** t)[:, None]
+        v /= (1.0 - BETA2 ** t)[:, None]
         np.sqrt(v, out=v)
-        v += opt.eps
+        v += EPS
         step /= v
         param[rows] -= step
 

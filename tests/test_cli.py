@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from boxkb import cli
 from boxkb.cli import (ConfigError, DataConfig, RunConfig, build_parser,
                        load_run_config, main, parse_config_file,
                        write_config_file)
+from boxkb.exact_fit import ExactFitError
 from boxkb.kb import Vocabulary
 from boxkb.model import init_params, load_checkpoint, save_checkpoint
 from boxkb.training import STREAM_INIT, stream_rng
@@ -422,6 +424,19 @@ def test_fit_exact_bad_table(capsys, tmp_path):
         capsys, ["fit-exact", str(tmp_path / "missing.txt")])
     assert code == 1
     assert "error:" in err
+
+
+def test_fit_exact_failure_exits_1_with_an_error_line(capsys, tmp_path, monkeypatch):
+    def no_flip(table):
+        raise ExactFitError("no exit placement found for fact (0, 0, 1)")
+
+    monkeypatch.setattr(cli, "fit", no_flip)
+    table = write_lines(tmp_path / "table.txt", [
+        "entities a b", "relation r 2",
+        "r a a 1", "r a b 0", "r b a 1", "r b b 0"])
+    code, out, err = run_main(capsys, ["fit-exact", table])
+    assert code == 1 and out == ""
+    assert "error: no exit placement found for fact (0, 0, 1)\n" in err
 
 
 # -- rules subcommands --

@@ -483,3 +483,40 @@ def test_evaluate_holds_one_query_per_worker():
         finally:
             tracemalloc.stop()
         assert peak <= bound, (workers, peak / table)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes ``fn`` allocates above the traced level it starts at."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_pool_memory_does_not_grow_with_the_query_count():
+    # Two workers hold one more query's working set than one worker does,
+    # and nothing per query: doubling the distinct queries (about 1000 to
+    # about 2000) must leave the peak gap between workers=2 and workers=1
+    # where it was.  A pool future per query costs about 1.5 KB, which
+    # would widen the gap by about 1.5 MB.
+    n_e, d = 1000, 16
+    v = vocab_of(n_e, (2, 2, 2, 2))
+    params = init_params(v, d, np.random.default_rng(1))
+    rng = np.random.default_rng(0)
+    test = set()
+    gaps = {}
+    for n_facts in (540, 1160):
+        while len(test) < n_facts:
+            test.add(Fact(int(rng.integers(0, 4)),
+                          (int(rng.integers(0, n_e)), int(rng.integers(0, n_e)))))
+        kb = kb_with(v, test=sorted(test))
+        n_queries = len(set(query_keys(kb.test)))
+        peaks = [traced_peak(evaluate, params, kb, "test", workers=workers)
+                 for workers in (1, 2)]
+        gaps[n_queries] = peaks[1] - peaks[0]
+    (few, few_gap), (many, many_gap) = sorted(gaps.items())
+    assert few >= 1000 and many >= 2000
+    assert many_gap - few_gap <= 256 * (many - few), gaps

@@ -111,6 +111,36 @@ def test_vocab_lookup_and_arity_guard():
         v.relation_id("new", create=True)  # arity required
 
 
+def test_vocab_from_name_lists_knows_its_ids():
+    v = Vocabulary(["a", "b"], ["r", "s"], [2, 3])
+    assert (v.entity_id("a"), v.entity_id("b")) == (0, 1)
+    assert v.relation_id("s", arity=3) == 1
+    assert v.relation_id("r", arity=2, create=True) == 0
+    assert v.relation_names == ["r", "s"] and v.n_relations == 2
+    with pytest.raises(KBFormatError):
+        v.relation_id("r", arity=3)
+    assert v.copy().entity_id("b") == 1
+    assert v.copy() == v
+
+
+@pytest.mark.parametrize("names,message", [
+    ((["a", "b", "a"], ["r"], [2]), "repeated entity name 'a'"),
+    ((["a"], ["r", "s", "r"], [2, 2, 2]), "repeated relation name 'r'"),
+    ((["a"], ["r", "s"], [2]), "2 relation names but 1 arities"),
+])
+def test_vocab_rejects_repeated_names_and_unpaired_arities(names, message):
+    with pytest.raises(KBFormatError, match=message):
+        Vocabulary(*names)
+
+
+def test_augment_inverses_rejects_an_inverse_name_collision():
+    fact = Fact(0, (0, 1))
+    kb = KnowledgeBase(Vocabulary(["a", "b"], ["r", "r_inv"], [2, 2]),
+                       (fact,), (), (), frozenset([fact]), 2)
+    with pytest.raises(KBFormatError, match="inverse relation name collision: 'r_inv'"):
+        augment_inverses(kb)
+
+
 def test_vocab_copy_is_independent():
     v = Vocabulary()
     v.entity_id("a", create=True)

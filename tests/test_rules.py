@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxkb.rules as rules_module
+from boxkb.geometry import intersect
 from boxkb.kb import Vocabulary
-from boxkb.model import init_params, load_checkpoint, save_checkpoint
+from boxkb.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from boxkb.rules import (ANTISYMMETRY, COMPOSITION, EXCLUSION, FORM_ARITY,
-                         HIERARCHY, INTERSECTION, INVERSION, SYMMETRY,
+                         HIERARCHY, INJECTABLE_FORMS, INTERSECTION, INVERSION,
+                         SYMMETRY, CaptureResult, ConflictReport,
                          InconsistentRulesError, InjectionPlan,
                          ProjectionError, Rule, RuleError, RuleParseError,
-                         UnsupportedRuleError, _sharing_edges,
-                         apply_projection, box_stats, check_capture,
-                         check_consistency, deductive_closure, inject,
-                         parse_rules)
+                         UnsupportedRuleError, _boxes_equal,
+                         _contains_with_tol, _disjoint_dim, _horn_theory,
+                         _sharing_edges, apply_projection, box_stats,
+                         check_capture, check_consistency, deductive_closure,
+                         inject, parse_rules)
 from boxkb.synth import hierarchy_ontology_kb, random_binary_kb
 from boxkb.training import OptimizerState, TrainConfig, train_epoch
 
@@ -678,3 +682,300 @@ def test_box_stats_pairwise_relations():
            for e in stats["pairs"]}
     assert rel[("r0", "r1", 0)] == "inside"
     assert rel[("r0", "r2", 0)] == "disjoint"
+
+
+# -- one pass per question: the previous rule engine as the reference ------------
+#
+# Copied from the engine before each question became one computation: forward
+# chaining re-run per (exclusion, seed) pair and again to explain a conflict,
+# tied box positions found by a union-find beside the path search that
+# explains them, one capture loop per form, and slot merging through a
+# general-purpose union-find.
+
+class RefUnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            lo, hi = sorted((rx, ry))
+            self.parent[hi] = lo
+
+
+def ref_forward_chain(seeds, clauses, parents=None):
+    known = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for body, head in clauses:
+            if head not in known and body <= known:
+                known.add(head)
+                if parents is not None:
+                    parents[head] = (body, head)
+                changed = True
+    return frozenset(known)
+
+
+def ref_deductive_closure(rules, universe=None):
+    clauses = _horn_theory(rules)
+    passthrough = sorted({r for r in rules
+                          if r.form not in (HIERARCHY, INTERSECTION)},
+                         key=lambda r: (r.form, r.relations))
+    if universe is None:
+        universe = {rel for body, head in clauses for rel in body | {head}}
+    universe = sorted(universe)
+    out = set()
+    for a in universe:
+        for b in ref_forward_chain(frozenset([a]), clauses):
+            if b != a:
+                out.add(Rule(HIERARCHY, (a, b)))
+    for i, a in enumerate(universe):
+        for b in universe[i + 1:]:
+            for c in ref_forward_chain(frozenset([a, b]), clauses):
+                if c != a and c != b:
+                    out.add(Rule(INTERSECTION, (a, b, c)))
+    return passthrough + sorted(out, key=lambda r: (r.form, r.relations))
+
+
+def ref_merge_path(edges, start, goal):
+    adj = {}
+    for a, b, rule in edges:
+        adj.setdefault(a, []).append((b, rule))
+        adj.setdefault(b, []).append((a, rule))
+    prev = {start: None}
+    queue = [start]
+    while queue:
+        node = queue.pop(0)
+        if node == goal:
+            break
+        for nxt, rule in adj.get(node, []):
+            if nxt not in prev:
+                prev[nxt] = (node, rule)
+                queue.append(nxt)
+    if goal not in prev:
+        return []
+    chain = []
+    node = goal
+    while prev[node] is not None:
+        node, rule = prev[node]
+        if not chain or chain[-1] is not rule:
+            chain.append(rule)
+    return list(reversed(chain))
+
+
+def ref_derivation_chain(target, seeds, clauses):
+    parents = {}
+    ref_forward_chain(seeds, clauses, parents)
+    chain = []
+    seen = set()
+
+    def emit(rel):
+        if rel in seeds or rel in seen or rel not in parents:
+            return
+        seen.add(rel)
+        body, head = parents[rel]
+        for b in body:
+            emit(b)
+        body_t = tuple(sorted(body))
+        rule = Rule(HIERARCHY, (body_t[0], head)) if len(body_t) == 1 \
+            else Rule(INTERSECTION, (*body_t, head))
+        chain.append(rule)
+
+    emit(target)
+    return chain
+
+
+def ref_check_consistency(rules, vocab=None):
+    def name(rel):
+        if vocab is not None:
+            return vocab.relation_names[rel]
+        return f"relation#{rel}"
+
+    edges = _sharing_edges(rules)
+    uf = RefUnionFind()
+    for a, b, _ in edges:
+        uf.union(a, b)
+    clauses = _horn_theory(rules)
+    universe = sorted({rel for body, head in clauses for rel in body | {head}})
+
+    for r in sorted((r for r in rules if r.form == ANTISYMMETRY),
+                    key=lambda r: r.relations):
+        rel = r.relations[0]
+        if uf.find((rel, 0)) == uf.find((rel, 1)):
+            chain = ref_merge_path(edges, (rel, 0), (rel, 1))
+            return ConflictReport(
+                "symmetry-vs-antisymmetry",
+                f"{name(rel)} is antisymmetric but its head and tail "
+                f"boxes are forced equal",
+                chain=chain + [r])
+
+    for r in sorted((r for r in rules if r.form == EXCLUSION),
+                    key=lambda r: r.relations):
+        e1, e2 = r.relations
+        for seed in universe:
+            reach = ref_forward_chain(frozenset([seed]), clauses)
+            if e1 in reach and e2 in reach:
+                chain = (ref_derivation_chain(e1, frozenset([seed]), clauses)
+                         + ref_derivation_chain(e2, frozenset([seed]), clauses))
+                return ConflictReport(
+                    "implied-overlap",
+                    f"any fact of {name(seed)} would satisfy both "
+                    f"excluded relations {name(e1)} and {name(e2)}",
+                    chain=chain + [r])
+        if uf.find((e1, 0)) == uf.find((e2, 0)) or uf.find((e1, 1)) == uf.find((e2, 1)):
+            start, goal = ((e1, 0), (e2, 0)) if uf.find((e1, 0)) == uf.find((e2, 0)) \
+                else ((e1, 1), (e2, 1))
+            return ConflictReport(
+                "sharing-vs-exclusion",
+                f"excluded relations {name(e1)} and {name(e2)} share box "
+                f"parameters at every position",
+                chain=ref_merge_path(edges, start, goal) + [r])
+    return None
+
+
+def ref_check_capture(params, rule, tolerance=0.0):
+    form, rels = rule.form, rule.relations
+    if form == COMPOSITION:
+        raise UnsupportedRuleError(
+            "composition has no geometric capture condition")
+    arity = params.vocab.arity(rels[0])
+    if form == SYMMETRY:
+        ok, w = _boxes_equal(params.effective_box(rels[0], 0),
+                             params.effective_box(rels[0], 1), tolerance)
+        return CaptureResult(ok, w)
+    if form == INVERSION:
+        for p, q in ((0, 1), (1, 0)):
+            ok, w = _boxes_equal(params.effective_box(rels[0], p),
+                                 params.effective_box(rels[1], q), tolerance)
+            if not ok:
+                w["position"] = p
+                return CaptureResult(False, w)
+        return CaptureResult(True, None)
+    if form == ANTISYMMETRY:
+        head = params.effective_box(rels[0], 0)
+        tail = params.effective_box(rels[0], 1)
+        j = _disjoint_dim(head, tail, tolerance)
+        if j is None:
+            return CaptureResult(False, {"reason": "head and tail boxes overlap"})
+        return CaptureResult(True, {"dimension": j})
+    if form == HIERARCHY:
+        for p in range(arity):
+            ok, w = _contains_with_tol(params.effective_box(rels[1], p),
+                                       params.effective_box(rels[0], p),
+                                       tolerance)
+            if not ok:
+                w["position"] = p
+                return CaptureResult(False, w)
+        return CaptureResult(True, None)
+    if form == INTERSECTION:
+        for p in range(arity):
+            region = intersect(params.effective_box(rels[0], p),
+                               params.effective_box(rels[1], p))
+            if region is None:
+                continue
+            ok, w = _contains_with_tol(params.effective_box(rels[2], p),
+                                       region, tolerance)
+            if not ok:
+                w["position"] = p
+                return CaptureResult(False, w)
+        return CaptureResult(True, None)
+    if form == EXCLUSION:
+        for p in range(arity):
+            j = _disjoint_dim(params.effective_box(rels[0], p),
+                              params.effective_box(rels[1], p), tolerance)
+            if j is not None:
+                return CaptureResult(True, {"position": p, "dimension": j})
+        return CaptureResult(False, {"reason": "no position with disjoint boxes"})
+    raise RuleError(f"unknown rule form {form!r}")
+
+
+def ref_merge_slots(params, pairs):
+    uf = RefUnionFind()
+    for s, t in pairs:
+        uf.union(s, t)
+    mapping = {s: uf.find(s) for s in range(params.n_slots)}
+    for rel in range(len(params.slot_of)):
+        params.slot_of[rel] = np.array([mapping[int(s)] for s in params.slot_of[rel]],
+                                       dtype=np.int64)
+    return mapping
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and text of the RuleError it raises."""
+    try:
+        return fn(*args)
+    except RuleError as exc:
+        return type(exc), str(exc)
+
+
+def ref_inject(rules, params, monkeypatch):
+    """``inject`` with the previous consistency check and slot merging; the
+    rest of injection is not part of the comparison."""
+    with monkeypatch.context() as m:
+        m.setattr(rules_module, "check_consistency", ref_check_consistency)
+        m.setattr(ModelParams, "merge_slots", ref_merge_slots)
+        return outcome(inject, rules, params)
+
+
+def random_rule_set(rng, n_rel):
+    # every form, small relation counts so that conflicts of each kind occur
+    forms = sorted(FORM_ARITY)
+    rules = []
+    for _ in range(int(rng.integers(1, 11))):
+        form = forms[int(rng.integers(len(forms)))]
+        rels = rng.choice(n_rel, size=FORM_ARITY[form], replace=False)
+        rules.append(Rule(form, tuple(int(r) for r in rels)))
+    return rules
+
+
+def test_rule_engine_matches_the_previous_engine(monkeypatch):
+    kinds = {}
+    captured = []
+    for seed in range(400):
+        rng = np.random.default_rng([seed, 10])
+        n_rel = int(rng.integers(3, 7))
+        rules = random_rule_set(rng, n_rel)
+        vocab = rule_vocab(n_rel)
+        for v in (None, vocab):
+            report = check_consistency(rules, v)
+            expect = ref_check_consistency(rules, v)
+            assert str(report) == str(expect), rules
+            assert (report and report.chain) == (expect and expect.chain), rules
+        if report is not None:
+            assert report.kind == expect.kind
+            kinds[report.kind] = kinds.get(report.kind, 0) + 1
+        assert deductive_closure(rules) == ref_deductive_closure(rules)
+        assert (deductive_closure(rules, range(n_rel))
+                == ref_deductive_closure(rules, range(n_rel)))
+        injectable = [r for r in rules if r.form in INJECTABLE_FORMS]
+        p = init_params(vocab, 3, rng, bounded=bool(seed % 2))
+        ref, fresh = p.copy(), p.copy()
+        for subset in (rules, injectable):
+            got = outcome(inject, subset, p)
+            want = ref_inject(subset, ref, monkeypatch)
+            if isinstance(want, InjectionPlan):
+                assert got.sharing == want.sharing
+                assert got.initial_growth == want.initial_growth
+                assert [(b.tolist(), h) for b, h in got.containments] == \
+                    [(b.tolist(), h) for b, h in want.containments]
+            else:
+                assert got == want
+            assert_same_boxes(p, ref)
+        for rule, params, tol in itertools.product(rules, (fresh, p), (0.0, 1e-6, 0.3)):
+            got = outcome(check_capture, params, rule, tol)
+            assert got == outcome(ref_check_capture, params, rule, tol), (rule, tol)
+            captured.append(got[0])
+    # every conflict kind occurred, and both capture outcomes
+    assert set(kinds) == {"symmetry-vs-antisymmetry", "implied-overlap",
+                          "sharing-vs-exclusion"}, kinds
+    assert captured.count(True) > 1000 and captured.count(False) > 1000
