@@ -9,8 +9,7 @@ with bounding disabled.
 
 Construction: start from the all-true model (all vectors zero, all boxes
 [-0.5, 0.5]^d with d = |R| * |E|^(n-1), n the maximal arity) and flip false
-facts one at a time, each flip confined to the flipped relation's dimension
-block.  Every flip changes exactly one classification bit.
+facts one at a time.  Every flip changes exactly one classification bit.
 
 For all-binary vocabularies the flip is closed-form: at dimension
 D = dim_index(i, k) for fact r_i(e_j, e_k), increment the bump of e_j by C,
@@ -21,18 +20,20 @@ then exits its tail box from above while every other final moves by an
 amount the grown boxes absorb, and later flips never disturb the exit
 because bumps only grow and the tail upper bound at D never moves.
 
-With any non-binary relation the single-dimension arithmetic above no longer
-isolates one fact (a position-p final is an entity base plus the sum of the
-other participants' bumps, so deltas are shared across facts), and relations
-are padded to the maximal arity with a dummy entity.  Each flip instead
-solves a small linear program over one dimension of the relation's block:
-variables are every entity base/bump value and every box bound at that
-dimension; constraints keep true facts strictly inside everywhere, keep
-already-false facts outside at their recorded witness (position, dimension),
-and push the new fact's chosen exit position at least one unit above its
-box.  The solution is quantized to a 1/1024 grid (constraint slacks dominate
-the rounding error) and verified exactly before being accepted; failed
-candidates try the next exit position/dimension.
+With any non-binary relation (relations padded to the maximal arity n_max
+with entity 0) bumps are shared across facts, so each flip of a fact F
+appends one dimension instead.  At position p, a final there is its entity's
+base plus w . c, with w the new bumps and c the count vector of the entities
+at the other positions.  One LP over |E| variables finds integer w with
+w . c_F >= w . c_G + 1 for every true fact G of F's relation sharing F's
+entity at p.  F's entity gets base 0, every other entity base
+-far = -(n_max * sum|w| + 1), box (relation, p) the upper bound
+max_G w . c_G + 1/2, and every other bound lies beyond any final, so F alone
+leaves a box; all values are integers or halves, exact in float64.  Exit
+positions are tried in the order 1, ..., n_max - 1, 0, each verified on the
+whole universe.  If none separates, c_F is in the hull of the c_G at every
+p, so F's finals are convex combinations of true facts' finals and no model
+keeping those facts true can make F false.
 """
 from __future__ import annotations
 
@@ -45,10 +46,7 @@ from scipy.optimize import linprog
 from .kb import Fact, Vocabulary
 from .model import ModelParams, final_embedding
 
-INSIDE_SLACK = 1.0 / 16.0
-EXIT_MARGIN = 1.0
-GRID = 1024
-COORD_BOUND = float(1 << 20)
+PAD_ENTITY = 0  # fills the positions past a relation's arity
 
 
 class ExactFitError(RuntimeError):
@@ -124,6 +122,8 @@ def parse_table(path) -> TruthTable:
                     raise TableFormatError(f"{path}:{lineno}: arity must be an integer")
                 if arity < 1:
                     raise TableFormatError(f"{path}:{lineno}: arity must be at least 1")
+                if tokens[1] in vocab.relation_names:
+                    raise TableFormatError(f"{path}:{lineno}: duplicate relation line")
                 vocab.relation_id(tokens[1], arity=arity, create=True)
             else:
                 if not saw_entities:
@@ -191,10 +191,8 @@ class ExactFitModel:
     params: ModelParams        # over the padded internal vocabulary
     vocab: Vocabulary          # the original universe
     n_max: int
-    dummy: int = 0
     flips: int = 0
     exact: bool | None = None
-    witness: dict[tuple, tuple[int, int]] = field(default_factory=dict)
     # the classification of every universe key: all True when built, and
     # False once a flip succeeds (a flip changes no other key)
     labels: dict[tuple, bool] = field(default_factory=dict)
@@ -205,7 +203,7 @@ class ExactFitModel:
 
     def pad(self, key: tuple) -> tuple:
         rel, ents = key[0], key[1:]
-        return (rel, *ents, *([self.dummy] * (self.n_max - len(ents))))
+        return (rel, *ents, *([PAD_ENTITY] * (self.n_max - len(ents))))
 
 
 def build_all_true(vocab: Vocabulary) -> ExactFitModel:
@@ -275,115 +273,75 @@ def _flip_binary(model: ExactFitModel, fact: Fact) -> None:
             for s in (head, tail):
                 params.box_a[s, D] -= C
                 params.box_b[s, D] += C
-    model.witness[(rel, j, k)] = (1, D)
 
 
-def _lp_variable_layout(model: ExactFitModel) -> tuple[int, int, int]:
-    """Offsets: entity bases at 0, bumps at E, box bounds at 2E (l, u pairs)."""
+def _counts(ents: tuple, p: int, n_entities: int) -> np.ndarray:
+    """How often each entity fills a position of ``ents`` other than p."""
+    return np.bincount(np.array(ents[:p] + ents[p + 1:], dtype=np.int64),
+                       minlength=n_entities)
+
+
+def _separator(model: ExactFitModel, padded: tuple,
+               p: int) -> tuple[np.ndarray, float] | None:
+    """Integer bumps w and an upper bound putting the padded fact F alone
+    above the true facts of its relation that share F's entity at p.
+
+    Solves w . (c_F - c_G) >= 1 over those facts G (c the ``_counts`` at p)
+    with one LP, scales by n_max and rounds: each difference has L1 norm at
+    most 2(n_max - 1), so the rounded integer products stay >= 1, and they
+    are re-checked exactly.  None when no w exists: c_F is in the hull of
+    the c_G.
+    """
     n_e = model.vocab.n_entities
-    return n_e, 2 * n_e, 2 * n_e + 2 * model.vocab.n_relations * model.n_max
-
-
-def _flip_lp_candidate(model: ExactFitModel, target: tuple, p_star: int,
-                       D: int, expected: dict[tuple, bool]) -> bool:
-    """Try to realize ``expected`` by re-solving dimension D; True on success."""
-    params = model.params
-    n_e = model.vocab.n_entities
-    n_max = model.n_max
-    bump_off, box_off, n_vars = _lp_variable_layout(model)
-
-    def box_vars(rel: int, p: int) -> tuple[int, int]:
-        s = box_off + 2 * (rel * n_max + p)
-        return s, s + 1  # (lower, upper)
-
-    rows, rhs = [], []
-
-    def final_coeffs(ents: tuple, p: int) -> np.ndarray:
-        coef = np.zeros(n_vars)
-        coef[ents[p]] += 1.0
-        for q, e in enumerate(ents):
-            if q != p:
-                coef[bump_off + e] += 1.0
-        return coef
-
-    for key in enumerate_universe(model.vocab):
-        padded = model.pad(key)
-        rel, ents = padded[0], padded[1:]
-        wit = model.witness.get(padded)
-        if key == target:
-            wit = (p_star, D)
-        for p in range(n_max):
-            f = final_coeffs(ents, p)
-            lo_v, up_v = box_vars(rel, p)
-            if not expected[key] and wit == (p, D):
-                row = -f
-                row[up_v] += 1.0  # u - F <= -margin, i.e. F >= u + margin
-                rows.append(row)
-                rhs.append(-EXIT_MARGIN)
-            else:
-                row = -f
-                row[lo_v] += 1.0  # l - F <= -slack
-                rows.append(row)
-                rhs.append(-INSIDE_SLACK)
-                row = f.copy()
-                row[up_v] -= 1.0  # F - u <= -slack
-                rows.append(row)
-                rhs.append(-INSIDE_SLACK)
-    for rel in range(model.vocab.n_relations):
-        for p in range(n_max):
-            lo_v, up_v = box_vars(rel, p)
-            row = np.zeros(n_vars)
-            row[lo_v], row[up_v] = 1.0, -1.0  # l <= u
-            rows.append(row)
-            rhs.append(0.0)
-
-    c = np.zeros(n_vars)
-    for rel in range(model.vocab.n_relations):
-        for p in range(n_max):
-            lo_v, up_v = box_vars(rel, p)
-            c[lo_v], c[up_v] = -1.0, 1.0  # prefer tight boxes
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                  bounds=(-COORD_BOUND, COORD_BOUND), method="highs")
+    rel, ents = padded[0], padded[1:]
+    c_f = _counts(ents, p, n_e)
+    diffs = [c_f - _counts(g[1:], p, n_e)
+             for g in map(model.pad, (k for k, true in model.labels.items() if true))
+             if g[0] == rel and g[p + 1] == ents[p] and g != padded]
+    if not diffs:
+        return np.zeros(n_e, dtype=np.int64), -0.5
+    diffs = np.array(diffs)
+    res = linprog(np.zeros(n_e), A_ub=-diffs, b_ub=-np.ones(len(diffs)),
+                  bounds=(None, None), method="highs")
     if res.status != 0:
-        return False
-    x = np.round(np.asarray(res.x) * GRID) / GRID
-
-    saved = (params.entity_base[:, D].copy(), params.entity_bump[:, D].copy(),
-             params.box_a[:, D].copy(), params.box_b[:, D].copy())
-    params.entity_base[:, D] = x[:n_e]
-    params.entity_bump[:, D] = x[n_e:2 * n_e]
-    for rel in range(model.vocab.n_relations):
-        for p in range(n_max):
-            lo_v, up_v = box_vars(rel, p)
-            slot = params.slot_of[rel][p]
-            params.box_a[slot, D] = x[lo_v]
-            params.box_b[slot, D] = x[up_v]
-    for key, want in expected.items():
-        if _classify_padded(model, model.pad(key)) != want:
-            (params.entity_base[:, D], params.entity_bump[:, D],
-             params.box_a[:, D], params.box_b[:, D]) = saved
-            return False
-    model.witness[model.pad(target)] = (p_star, D)
-    return True
+        return None
+    w = np.round(model.n_max * res.x).astype(np.int64)
+    gaps = diffs @ w
+    if gaps.min() < 1:
+        return None
+    return w, float(w @ c_f - gaps.min()) + 0.5
 
 
-def _flip_general(model: ExactFitModel, fact: Fact,
-                  expected: dict[tuple, bool]) -> None:
+def _flip_general(model: ExactFitModel, fact: Fact) -> None:
+    """Append one dimension in which only ``fact`` leaves a box (see module
+    docstring), trying exit positions 1, ..., n_max - 1, then 0."""
+    params = model.params
     key = (fact.relation, *fact.entities)
     padded = model.pad(key)
-    rel, tail = padded[0], padded[2:]
-    n_e = model.vocab.n_entities
-    block = n_e ** (model.n_max - 1)
-    canonical = dim_index(rel, tail, n_e)
-    dims = [canonical] + [D for D in range(rel * block, (rel + 1) * block)
-                          if D != canonical]
-    positions = list(range(1, model.n_max)) + [0]
-    for D in dims:
-        for p_star in positions:
-            if _flip_lp_candidate(model, key, p_star, D, expected):
-                return
-    raise ExactFitError(
-        f"no exit placement found for fact {key} over relation block dims")
+    rel, ents = padded[0], padded[1:]
+    expected = {**model.labels, key: False}
+    for p in [*range(1, model.n_max), 0]:
+        found = _separator(model, padded, p)
+        if found is None:
+            continue
+        w, exit_bound = found
+        far = model.n_max * int(np.abs(w).sum()) + 1
+        wide = 2 * far + 1
+        base = np.full(model.vocab.n_entities, -far)
+        base[ents[p]] = 0
+        upper = np.full(params.n_slots, wide, dtype=np.float64)
+        upper[params.slot_of[rel][p]] = exit_bound
+        saved = params.entity_base, params.entity_bump, params.box_a, params.box_b
+        column = base, w, np.full(params.n_slots, -wide), upper
+        params.entity_base, params.entity_bump, params.box_a, params.box_b = (
+            np.column_stack(pair) for pair in zip(saved, column))
+        params.d += 1
+        if all(_classify_padded(model, model.pad(k)) == want
+               for k, want in expected.items()):
+            return
+        params.entity_base, params.entity_bump, params.box_a, params.box_b = saved
+        params.d -= 1
+    raise ExactFitError(f"no exit placement found for fact {key}")
 
 
 def flip_fact(model: ExactFitModel, fact: Fact) -> bool:
@@ -398,7 +356,7 @@ def flip_fact(model: ExactFitModel, fact: Fact) -> bool:
     if model.all_binary:
         _flip_binary(model, fact)
     else:
-        _flip_general(model, fact, {**model.labels, key: False})
+        _flip_general(model, fact)
     model.labels[key] = False
     model.flips += 1
     return True

@@ -156,9 +156,10 @@ def _load_split(path: str | Path | None, fmt: str, vocab: Vocabulary, seen: set[
     facts: list[Fact] = []
     for lineno, line in _iter_lines(path):
         rel_name, ent_names = _parse_fact_line(line, fmt, lineno, str(path))
-        rid = vocab.relation_id(rel_name, arity=len(ent_names), create=True)
-        if vocab.relation_arities[rid] != len(ent_names):
-            raise KBFormatError(f"{path}:{lineno}: arity mismatch for relation {rel_name!r}")
+        try:
+            rid = vocab.relation_id(rel_name, arity=len(ent_names), create=True)
+        except KBFormatError as exc:
+            raise KBFormatError(f"{path}:{lineno}: {exc}") from exc
         fact = Fact(rid, tuple(vocab.entity_id(n, create=True) for n in ent_names))
         if fact in seen:
             raise KBFormatError(f"{path}:{lineno}: duplicate fact in {split_name} split")

@@ -69,6 +69,8 @@ def test_parse_table_round_trip(tmp_path):
     ("entities a\nrelation r\n", "relation <name> <arity>"),
     ("entities a\nrelation r x\n", "integer"),
     ("entities a\nrelation r 0\n", "at least 1"),
+    ("entities a\nrelation r 1\nrelation r 2\n", "bad.txt:3: duplicate relation line"),
+    ("entities a\nrelation r 1\nrelation r 1\n", "bad.txt:3: duplicate relation line"),
     ("entities a\nrelation r 1\ns a 1\n", "unknown relation"),
     ("entities a\nrelation r 1\nr a maybe\n", "label"),
     ("entities a\nrelation r 1\nr a 1\nr a 0\n", "duplicate fact"),
@@ -209,6 +211,52 @@ def test_flip_locality_on_random_walk():
         after = snapshot(model, v)
         changed = [k for k in before if before[k] != after[k]]
         assert changed == [target]
+
+
+def test_unrepresentable_ternary_flip_raises():
+    # at every position (0, 1, 2) shares its final point with a true fact --
+    # (0, 2, 1), (2, 1, 0) and (1, 0, 2) -- so no model makes it false alone
+    v = make_vocab(n_entities=3, arities=(3,))
+    bits = [key != (0, 0, 1, 2) for key in enumerate_universe(v)]
+    with pytest.raises(ExactFitError, match="no exit placement"):
+        fit(table_from_bits(v, bits))
+    model = build_all_true(v)
+    with pytest.raises(ExactFitError, match="no exit placement"):
+        flip_fact(model, Fact(0, (0, 1, 2)))
+    assert model.params.d == 9 and model.flips == 0
+
+
+def test_non_binary_flip_appends_one_column():
+    v = make_vocab(n_entities=2, arities=(2, 3))
+    model = build_all_true(v)
+    assert flip_fact(model, Fact(1, (0, 1, 1)))
+    params = model.params
+    d = params.d
+    tables = ("entity_base", "entity_bump", "box_a", "box_b")
+    before = [getattr(params, name).copy() for name in tables]
+    assert flip_fact(model, Fact(0, (1, 0)))
+    assert params.d == d + 1
+    for name, old in zip(tables, before):
+        new = getattr(params, name)
+        assert new.shape == (old.shape[0], d + 1)
+        assert new[:, :d].tobytes() == old.tobytes(), name
+
+
+@pytest.mark.parametrize("arities", [(1, 3), (2, 3)])
+def test_mixed_non_binary_tables_fit_with_local_flips(arities):
+    v = make_vocab(n_entities=2, arities=arities)
+    keys = enumerate_universe(v)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=len(keys)))
+        model = build_all_true(v)
+        for key in (k for k, bit in zip(keys, bits) if not bit):
+            before = snapshot(model, v)
+            assert flip_fact(model, Fact(key[0], key[1:]))
+            after = snapshot(model, v)
+            assert [k for k in keys if before[k] != after[k]] == [key]
+        assert tuple(int(snapshot(model, v)[k]) for k in keys) == bits
+        assert fit(table_from_bits(v, bits)).exact
 
 
 # -- classification -----------------------------------------------------------

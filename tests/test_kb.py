@@ -57,6 +57,8 @@ def test_parse_rejects_arity_mismatch(tmp_path):
     write(train, ["r\ta\tb", "r\ta\tb\tc"])
     with pytest.raises(KBFormatError, match="arity"):
         parse_kb(train, fmt=FORMAT_NARY)
+    with pytest.raises(KBFormatError, match="train.tsv:2"):
+        parse_kb(train, fmt=FORMAT_NARY)
 
 
 def test_parse_rejects_duplicates_within_and_across_splits(tmp_path):
