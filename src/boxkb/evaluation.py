@@ -21,9 +21,9 @@ instead of an (E, n, d) gather of the candidate rows.  ``evaluate`` forms
 scores are bitwise those of ``score_batch`` on the (E, n) candidate rows.
 
 The filter tests the (E, n) candidate rows with ``kb.known_rows`` against
-a ``kb.fact_index`` of ``kb.known`` (the membership test that training uses
-to filter negatives); ``evaluate`` builds the index once per call,
-``rank_fact`` for its fact's relation only.
+the knowledge base's ``known_index`` (the membership test that training
+uses to filter negatives), which it builds on first use and keeps, so
+every ``evaluate`` and ``rank_fact`` call shares one index.
 
 The unit of work is one distinct query, keyed by (relation, position, other
 entities): facts that differ only at the ranked position pose the same
@@ -44,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .kb import Fact, KnowledgeBase, fact_index, known_rows
+from .kb import Fact, KnowledgeBase, known_rows
 from .model import ModelParams, score_candidates
 
 
@@ -86,8 +86,8 @@ def _query_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
 def rank_fact(params: ModelParams, kb: KnowledgeBase, fact: Fact,
               position: int, filtered: bool) -> int:
     """Rank of ``fact`` against all substitutions at ``position``."""
-    index = fact_index(f for f in kb.known if f.relation == fact.relation)
-    return _query_ranks(params, index, fact, position, [fact.entities[position]],
+    return _query_ranks(params, kb.known_index, fact, position,
+                        [fact.entities[position]],
                         params.entity_base - params.entity_bump)[0][filtered]
 
 
@@ -124,7 +124,7 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str,
             targets.append(target)
             n_rankings += 1
     work = [queries[key] for key in sorted(queries)]
-    index = fact_index(kb.known)
+    index = kb.known_index  # built here, before any worker thread reads it
     base_less_bump = params.entity_base - params.entity_bump
     raw, filt = [0] * n_rankings, [0] * n_rankings
 

@@ -255,24 +255,14 @@ def _flip_binary(model: ExactFitModel, fact: Fact) -> None:
     j, k = fact.entities
     rel = fact.relation
     D = dim_index(rel, (k,), model.vocab.n_entities)
-    column = np.concatenate([
-        params.entity_base[:, D], params.entity_bump[:, D],
-        params.box_a[:, D], params.box_b[:, D]])
+    lo, hi = params.raw_bounds((slice(None), D))
+    column = np.concatenate([params.entity_base[:, D], params.entity_bump[:, D], lo, hi])
     C = float(np.max(np.abs(column))) + 1.0
     params.entity_bump[j, D] += C
-    mask = np.ones(model.vocab.n_entities, dtype=bool)
-    mask[k] = False
-    params.entity_base[mask, D] -= C
-    for m in range(model.vocab.n_relations):
-        head, tail = params.slot_of[m]
-        if m == rel:
-            params.box_a[head, D] -= C
-            params.box_b[head, D] += C
-            params.box_a[tail, D] -= C  # tail upper stays: the exit boundary
-        else:
-            for s in (head, tail):
-                params.box_a[s, D] -= C
-                params.box_b[s, D] += C
+    params.entity_base[np.arange(model.vocab.n_entities) != k, D] -= C
+    # every box grows by C at D, but for the exit: the fact's tail upper bound
+    is_exit = np.arange(params.n_slots) == params.slot_of[rel][1]
+    params.set_raw_bounds((slice(None), D), lo - C, np.where(is_exit, hi, hi + C))
 
 
 def _counts(ents: tuple, p: int, n_entities: int) -> np.ndarray:

@@ -9,12 +9,14 @@ for duplicate detection.
 "Is this entity row a known fact?" is answered here and only here:
 ``fact_index`` turns a set of facts into per-relation sorted row keys, and
 ``known_rows`` tests a whole array of candidate rows against it at once.
-Training uses it to filter negatives that are training facts, and ranking
-evaluation uses it to drop candidates that are known facts.
+Training filters negatives through a knowledge base's ``train_index``, and
+ranking evaluation drops known candidates through its ``known_index``; each
+is a ``fact_index`` the knowledge base builds on first use and keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -121,6 +123,14 @@ class KnowledgeBase:
     # Relations with id >= n_scored_relations are auxiliary (added by inverse
     # augmentation) and are skipped by ranking evaluation.
     n_scored_relations: int
+
+    @cached_property
+    def known_index(self) -> dict[int, np.ndarray]:
+        return fact_index(self.known)
+
+    @cached_property
+    def train_index(self) -> dict[int, np.ndarray]:
+        return fact_index(self.train)
 
     def split(self, name: str) -> tuple[Fact, ...]:
         if name not in SPLITS:

@@ -23,10 +23,10 @@ boundary.  Here c is the box center and w its width plus one.  The
 inside/outside test uses the whole point by default; ``per_dim_branch``
 switches to an element-wise test.
 
-Boxes are stored as two free corner vectors; lower/upper are derived by
-element-wise min/max at evaluation time, so no gradient step can produce an
-invalid box.  With ``bounded`` set, final points and box corners are squashed
-through tanh before any distance arithmetic.
+Boxes are two free corner vectors; only ``ModelParams`` turns them into
+lower/upper bounds (element-wise min/max) or writes bounds back, so no
+gradient step can produce an invalid box.  With ``bounded`` set, final points
+and box corners are squashed through tanh before any distance arithmetic.
 """
 from __future__ import annotations
 
@@ -89,18 +89,18 @@ class ModelParams:
         lo, hi = self.raw_bounds(slots)
         return (np.tanh(lo), np.tanh(hi)) if self.bounded else (lo, hi)
 
+    def set_raw_bounds(self, slots, lo, hi) -> None:
+        """Write raw bounds ``lo`` and ``hi`` at ``slots`` (any index into the
+        box tables), each through the free corner that holds it now."""
+        a_is_min = self.box_a[slots] <= self.box_b[slots]
+        self.box_a[slots] = np.where(a_is_min, lo, hi)
+        self.box_b[slots] = np.where(a_is_min, hi, lo)
+
     def set_raw_lower(self, slot: int, dim: int, value: float) -> None:
-        # write through whichever free corner currently holds the minimum
-        if self.box_a[slot, dim] <= self.box_b[slot, dim]:
-            self.box_a[slot, dim] = value
-        else:
-            self.box_b[slot, dim] = value
+        self.set_raw_bounds((slot, dim), value, self.raw_bounds((slot, dim))[1])
 
     def set_raw_upper(self, slot: int, dim: int, value: float) -> None:
-        if self.box_a[slot, dim] <= self.box_b[slot, dim]:
-            self.box_b[slot, dim] = value
-        else:
-            self.box_a[slot, dim] = value
+        self.set_raw_bounds((slot, dim), self.raw_bounds((slot, dim))[0], value)
 
     def effective_box(self, relation: int, position: int) -> Box:
         return Box(*self.effective_bounds(int(self.slot_of[relation][position])))
@@ -456,6 +456,11 @@ def _checkpoint_table(rows, n_rows: int, d: int, what: str) -> np.ndarray:
         table = None
     if table is not None and table.shape == (0,) and n_rows == 0:
         table = table.reshape(0, d)
+    return _checked_table(table, n_rows, d, what)
+
+
+def _checked_table(table, n_rows: int, d: int, what: str) -> np.ndarray:
+    """``table`` if it is an (n_rows, d) table of finite values, else ValueError."""
     if table is None or table.shape != (n_rows, d):
         raise ValueError(f"checkpoint {what} is not {n_rows} rows of length {d}")
     if not np.isfinite(table).all():
@@ -542,12 +547,9 @@ def _decoded_table(text, n_rows: int, d: int, what: str) -> np.ndarray:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or non-ASCII text
         raise ValueError(f"checkpoint {what} is not base64: {exc}") from exc
-    if len(raw) != n_rows * d * 8:
-        raise ValueError(f"checkpoint {what} is not {n_rows} rows of length {d}")
-    table = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n_rows, d)
-    if not np.isfinite(table).all():
-        raise ValueError(f"checkpoint {what} holds a non-finite value")
-    return table
+    table = (np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n_rows, d)
+             if len(raw) == n_rows * d * 8 else None)
+    return _checked_table(table, n_rows, d, what)
 
 
 def _v1_tables(payload: dict, vocab: Vocabulary, d: int) -> dict:

@@ -39,7 +39,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .geometry import Box, intersect
 from .kb import Vocabulary
 from .model import ModelParams
 
@@ -345,31 +344,41 @@ class CaptureResult(NamedTuple):
     witness: dict | None
 
 
-def _boxes_equal(a: Box, b: Box, tol: float) -> tuple[bool, dict | None]:
-    for side, va, vb in (("lower", a.lower, b.lower), ("upper", a.upper, b.upper)):
-        delta = np.abs(va - vb)
-        j = int(np.argmax(delta))
-        if delta[j] > tol:
-            return False, {"dimension": j, "side": side, "delta": float(delta[j])}
-    return True, None
+# Box predicates over (lower, upper) bound arrays.  Per dimension, how far two
+# boxes are from equal, nested or apart; they broadcast over many box pairs.
+
+def _mismatch(a, b):
+    """Per side, how far the bounds of boxes ``a`` and ``b`` differ."""
+    return np.abs(a[0] - b[0]), np.abs(a[1] - b[1])
 
 
-def _contains_with_tol(outer: Box, inner: Box, tol: float) -> tuple[bool, dict | None]:
-    low_gap = outer.lower - inner.lower
-    j = int(np.argmax(low_gap))
-    if low_gap[j] > tol:
-        return False, {"dimension": j, "side": "lower", "delta": float(low_gap[j])}
-    high_gap = inner.upper - outer.upper
-    j = int(np.argmax(high_gap))
-    if high_gap[j] > tol:
-        return False, {"dimension": j, "side": "upper", "delta": float(high_gap[j])}
-    return True, None
+def _overhang(outer, inner):
+    """Per side, how far box ``inner`` sticks out of box ``outer``."""
+    return outer[0] - inner[0], inner[1] - outer[1]
 
 
-def _disjoint_dim(a: Box, b: Box, tol: float) -> int | None:
-    # tol = 0 demands a strict gap (agrees with intersect() emptiness);
+def _gap(a, b):
+    """How far apart boxes ``a`` and ``b`` are; negative where they overlap."""
+    return np.maximum(a[0] - b[1], b[0] - a[1])
+
+
+def _within(excess) -> np.ndarray:
+    """Per box pair, whether no excess is positive in any dimension."""
+    return (np.maximum(*excess) <= 0).all(axis=-1)
+
+
+def _first_excess(lower: np.ndarray, upper: np.ndarray, tol: float) -> dict | None:
+    """Witness of the first side whose largest excess is over ``tol``, or None."""
+    for side, excess in (("lower", lower), ("upper", upper)):
+        j = int(np.argmax(excess))
+        if excess[j] > tol:
+            return {"dimension": j, "side": side, "delta": float(excess[j])}
+    return None
+
+
+def _disjoint_dim(gap: np.ndarray, tol: float) -> int | None:
+    # tol = 0 demands a strict gap (a degenerate shared face still overlaps);
     # tol > 0 additionally accepts overlaps of depth at most tol
-    gap = np.maximum(a.lower - b.upper, b.lower - a.upper)
     j = int(np.argmax(gap))
     threshold = -tol if tol > 0 else 0.0
     return j if gap[j] > threshold else None
@@ -389,35 +398,37 @@ def check_capture(params: ModelParams, rule: Rule, tolerance: float = 0.0
         raise UnsupportedRuleError(
             "composition has no geometric capture condition")
     arity = params.vocab.arity(rels[0])
-    box = params.effective_box
+
+    def box(rel: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+        return params.effective_bounds(int(params.slot_of[rel][p]))
 
     if form == SYMMETRY:
-        return CaptureResult(*_boxes_equal(box(rels[0], 0), box(rels[0], 1),
-                                           tolerance))
+        w = _first_excess(*_mismatch(box(rels[0], 0), box(rels[0], 1)), tolerance)
+        return CaptureResult(w is None, w)
     if form == ANTISYMMETRY:
-        j = _disjoint_dim(box(rels[0], 0), box(rels[0], 1), tolerance)
+        j = _disjoint_dim(_gap(box(rels[0], 0), box(rels[0], 1)), tolerance)
         if j is None:
             return CaptureResult(False, {"reason": "head and tail boxes overlap"})
         return CaptureResult(True, {"dimension": j})
     if form == EXCLUSION:
         for p in range(arity):
-            j = _disjoint_dim(box(rels[0], p), box(rels[1], p), tolerance)
+            j = _disjoint_dim(_gap(box(rels[0], p), box(rels[1], p)), tolerance)
             if j is not None:
                 return CaptureResult(True, {"position": p, "dimension": j})
         return CaptureResult(False, {"reason": "no position with disjoint boxes"})
     for p in range(2 if form == INVERSION else arity):
         if form == INVERSION:
-            ok, w = _boxes_equal(box(rels[0], p), box(rels[1], 1 - p), tolerance)
+            excess = _mismatch(box(rels[0], p), box(rels[1], 1 - p))
         elif form == HIERARCHY:
-            ok, w = _contains_with_tol(box(rels[1], p), box(rels[0], p), tolerance)
-        elif form == INTERSECTION:
-            region = intersect(box(rels[0], p), box(rels[1], p))
-            if region is None:
+            excess = _overhang(box(rels[1], p), box(rels[0], p))
+        else:  # intersection: the head box must hold the body boxes' overlap
+            (lo1, hi1), (lo2, hi2) = box(rels[0], p), box(rels[1], p)
+            region = np.maximum(lo1, lo2), np.minimum(hi1, hi2)
+            if (region[0] > region[1]).any():
                 continue  # empty body region, vacuously satisfied
-            ok, w = _contains_with_tol(box(rels[2], p), region, tolerance)
-        else:
-            raise RuleError(f"unknown rule form {form!r}")
-        if not ok:
+            excess = _overhang(box(rels[2], p), region)
+        w = _first_excess(*excess, tolerance)
+        if w is not None:
             w["position"] = p
             return CaptureResult(False, w)
     return CaptureResult(True, None)
@@ -485,8 +496,7 @@ def apply_projection(params: ModelParams, plan: InjectionPlan) -> int:
     """
     if not plan.containments:
         return 0
-    lo = np.minimum(params.box_a, params.box_b)
-    hi = np.maximum(params.box_a, params.box_b)
+    lo, hi = params.raw_bounds(slice(None))
     orig_lo, orig_hi = lo.copy(), hi.copy()
     n_slots = params.n_slots
     sweep_limit = 4 * params.d * n_slots * n_slots + 2
@@ -515,11 +525,8 @@ def apply_projection(params: ModelParams, plan: InjectionPlan) -> int:
         raise ProjectionError(
             f"projection moved {moves} bounds, exceeding the "
             f"2 * d * slots = {2 * params.d * n_slots} bound")
-    changed_slots = np.nonzero(lo_moved.any(axis=1) | hi_moved.any(axis=1))[0]
-    for s in changed_slots:
-        a_is_min = params.box_a[s] <= params.box_b[s]
-        params.box_a[s] = np.where(a_is_min, lo[s], hi[s])
-        params.box_b[s] = np.where(a_is_min, hi[s], lo[s])
+    moved = np.flatnonzero(lo_moved.any(axis=1) | hi_moved.any(axis=1))
+    params.set_raw_bounds(moved, lo[moved], hi[moved])
     return moves
 
 
@@ -528,45 +535,36 @@ def box_stats(params: ModelParams) -> dict:
 
     Geometric mean side length uses effective (post-bounding) bounds and is
     exactly 0 when any side is degenerate.  Pairwise containment/overlap is
-    reported per matching position for same-arity relation pairs.
+    reported per matching position for same-arity relation pairs: each
+    relation's boxes are compared with those of every later relation of its
+    arity in one array step.
     """
     vocab = params.vocab
+    bounds = [params.effective_bounds(slots) for slots in params.slot_of]
     relations = []
-    for rel in range(vocab.n_relations):
+    for rel, (lo, hi) in enumerate(bounds):
         positions = []
         for p in range(vocab.arity(rel)):
-            box = params.effective_box(rel, p)
-            sides = box.upper - box.lower
-            if (sides == 0).any():
-                gmean = 0.0
-            else:
-                gmean = float(np.exp(np.mean(np.log(sides))))
+            sides = hi[p] - lo[p]
+            gmean = 0.0 if (sides == 0).any() else float(np.exp(np.mean(np.log(sides))))
             positions.append({"position": p, "gmean_side": gmean})
         entry = {"relation": vocab.relation_names[rel], "positions": positions}
         if vocab.arity(rel) == 2:
-            eq, _ = _boxes_equal(params.effective_box(rel, 0),
-                                 params.effective_box(rel, 1), 0.0)
-            entry["symmetry_shaped"] = eq
+            entry["symmetry_shaped"] = bool(_within(_mismatch((lo[0], hi[0]),
+                                                              (lo[1], hi[1]))))
         relations.append(entry)
     pairs = []
-    for r1 in range(vocab.n_relations):
-        for r2 in range(r1 + 1, vocab.n_relations):
-            if vocab.arity(r1) != vocab.arity(r2):
-                continue
-            for p in range(vocab.arity(r1)):
-                a = params.effective_box(r1, p)
-                b = params.effective_box(r2, p)
-                eq, _ = _boxes_equal(a, b, 0.0)
-                if eq:
-                    relation = "equal"
-                elif _contains_with_tol(a, b, 0.0)[0]:
-                    relation = "contains"
-                elif _contains_with_tol(b, a, 0.0)[0]:
-                    relation = "inside"
-                elif _disjoint_dim(a, b, 0.0) is not None:
-                    relation = "disjoint"
-                else:
-                    relation = "overlap"
+    for r1, a in enumerate(bounds):
+        later = [r2 for r2 in range(r1 + 1, vocab.n_relations)
+                 if vocab.arity(r2) == vocab.arity(r1)]
+        if not later:
+            continue
+        b = tuple(np.stack(side) for side in zip(*(bounds[r2] for r2 in later)))
+        kinds = np.select([_within(_mismatch(a, b)), _within(_overhang(a, b)),
+                           _within(_overhang(b, a)), (_gap(a, b) > 0).any(axis=-1)],
+                          ["equal", "contains", "inside", "disjoint"], "overlap")
+        for r2, row in zip(later, kinds.tolist()):
+            for p, relation in enumerate(row):
                 pairs.append({"a": vocab.relation_names[r1],
                               "b": vocab.relation_names[r2],
                               "position": p, "relation": relation})

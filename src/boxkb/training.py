@@ -32,8 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit, softmax
 
-from .kb import (Fact, KnowledgeBase, Vocabulary, fact_index, group_by_relation,
-                 known_rows)
+from .kb import Fact, KnowledgeBase, Vocabulary, group_by_relation, known_rows
 from .model import GradBuffer, GradMap, ModelParams, SlotKey, backward, forward, score
 
 STREAM_INIT = 1
@@ -280,7 +279,7 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
     shuffle_rng = stream_rng(config.seed, STREAM_SHUFFLE, epoch)
     order = shuffle_rng.permutation(len(facts))
     neg_rng = stream_rng(config.seed, STREAM_NEGATIVES, epoch)
-    avoid = fact_index(kb.train) if config.filter_train_negatives else None
+    avoid = kb.train_index if config.filter_train_negatives else None
     n_entities = params.vocab.n_entities
     total_loss = 0.0
     growth = 0

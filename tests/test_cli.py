@@ -364,6 +364,31 @@ def test_eval_rankings_per_second_counts_rankings_not_queries(capsys, data):
     assert report["rankings_per_s"] * report["wall_ms"] / 1000 == pytest.approx(6, rel=1e-9)
 
 
+def test_eval_with_inverse_augmentation_ranks_original_relations(capsys, data):
+    outdir = data["tmp"] / "run"
+    assert run_main(capsys, train_argv(data, outdir, ["--augment-inverses"]))[0] == 0
+    assert load_checkpoint(outdir / "best.json").vocab.n_relations == 4
+    code, out, _ = run_main(capsys, [
+        "eval", "--checkpoint", str(outdir / "best.json"),
+        "--train", data["train"], "--valid", data["valid"],
+        "--split", "valid", "--augment-inverses"])
+    assert code == 0
+    # the inverse helper facts of the split are not ranked
+    assert json.loads(out)["n_facts"] == len(VALID_LINES)
+
+
+def test_eval_rejects_a_name_the_checkpoint_lacks(capsys, data):
+    test = write_lines(data["tmp"] / "test.tsv", ["ada\tknows\tzed"])
+    outdir = data["tmp"] / "run"
+    assert run_main(capsys, train_argv(data, outdir))[0] == 0
+    code, out, err = run_main(capsys, [
+        "eval", "--checkpoint", str(outdir / "best.json"),
+        "--train", data["train"], "--valid", data["valid"], "--test", test,
+        "--split", "test"])
+    assert code == 1 and out == ""
+    assert "dataset name missing from checkpoint vocabulary" in err
+
+
 def test_eval_missing_checkpoint(capsys, data, tmp_path):
     code, _, err = run_main(capsys, [
         "eval", "--checkpoint", str(tmp_path / "nope.json"),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from boxkb.kb import (FORMAT_NARY, FORMAT_TRIPLE, Fact, KBFormatError,
                       KnowledgeBase, Vocabulary, augment_inverses, corrupt,
-                      parse_kb, write_split)
+                      fact_index, parse_kb, write_split)
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
 
@@ -141,6 +141,27 @@ def test_augment_inverses_rejects_an_inverse_name_collision():
                        (fact,), (), (), frozenset([fact]), 2)
     with pytest.raises(KBFormatError, match="inverse relation name collision: 'r_inv'"):
         augment_inverses(kb)
+
+
+def test_augment_inverses_rejects_a_non_binary_relation():
+    fact = Fact(0, (0, 1, 2))
+    kb = KnowledgeBase(Vocabulary(["a", "b", "c"], ["r"], [3]),
+                       (fact,), (), (), frozenset([fact]), 1)
+    with pytest.raises(KBFormatError, match="requires all relations binary"):
+        augment_inverses(kb)
+
+
+def test_fact_indexes_are_built_on_first_use_and_kept(tmp_path):
+    train, valid = tmp_path / "train.tsv", tmp_path / "valid.tsv"
+    write(train, ["a\tr\tb", "b\ts\tc"])
+    write(valid, ["c\tr\ta"])
+    kb = parse_kb(train, valid)
+    assert "known_index" not in vars(kb) and "train_index" not in vars(kb)
+    for index, facts in ((kb.known_index, kb.known), (kb.train_index, kb.train)):
+        want = fact_index(facts)
+        assert index.keys() == want.keys()
+        assert all(np.array_equal(index[r], want[r]) for r in want)
+    assert kb.known_index is kb.known_index and kb.train_index is kb.train_index
 
 
 def test_vocab_copy_is_independent():

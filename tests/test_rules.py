@@ -1,5 +1,6 @@
 """Rule parsing, deductive closure, consistency, capture, and projection."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxkb.rules as rules_module
-from boxkb.geometry import intersect
+from boxkb.geometry import Box, intersect
 from boxkb.kb import Vocabulary
 from boxkb.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from boxkb.rules import (ANTISYMMETRY, COMPOSITION, EXCLUSION, FORM_ARITY,
@@ -15,8 +16,7 @@ from boxkb.rules import (ANTISYMMETRY, COMPOSITION, EXCLUSION, FORM_ARITY,
                          SYMMETRY, CaptureResult, ConflictReport,
                          InconsistentRulesError, InjectionPlan,
                          ProjectionError, Rule, RuleError, RuleParseError,
-                         UnsupportedRuleError, _boxes_equal,
-                         _contains_with_tol, _disjoint_dim, _horn_theory,
+                         UnsupportedRuleError, _horn_theory,
                          _sharing_edges, apply_projection, box_stats,
                          check_capture, check_consistency, deductive_closure,
                          inject, parse_rules)
@@ -504,6 +504,15 @@ def test_inject_rejects_noninjectable_forms():
         inject([Rule(EXCLUSION, (0, 1))], p)
 
 
+def test_inject_rejects_rules_mixing_arities():
+    vocab = Vocabulary([f"e{i}" for i in range(4)], ["b0", "b1", "t0", "t1"],
+                       [2, 2, 3, 3])
+    p = init_params(vocab, 3, np.random.default_rng(0))
+    rules = [Rule(HIERARCHY, (0, 1)), Rule(HIERARCHY, (2, 3))]
+    with pytest.raises(RuleError, match="rules mix relations of different arities"):
+        inject(rules, p)
+
+
 def test_inject_higher_arity_hierarchy():
     p = make_params(arity=3, seed=6)
     rule = Rule(HIERARCHY, (0, 1))
@@ -843,6 +852,38 @@ def ref_check_consistency(rules, vocab=None):
     return None
 
 
+# The capture predicates of the previous engine, over Box objects.
+
+def _boxes_equal(a: Box, b: Box, tol: float) -> tuple[bool, dict | None]:
+    for side, va, vb in (("lower", a.lower, b.lower), ("upper", a.upper, b.upper)):
+        delta = np.abs(va - vb)
+        j = int(np.argmax(delta))
+        if delta[j] > tol:
+            return False, {"dimension": j, "side": side, "delta": float(delta[j])}
+    return True, None
+
+
+def _contains_with_tol(outer: Box, inner: Box, tol: float) -> tuple[bool, dict | None]:
+    low_gap = outer.lower - inner.lower
+    j = int(np.argmax(low_gap))
+    if low_gap[j] > tol:
+        return False, {"dimension": j, "side": "lower", "delta": float(low_gap[j])}
+    high_gap = inner.upper - outer.upper
+    j = int(np.argmax(high_gap))
+    if high_gap[j] > tol:
+        return False, {"dimension": j, "side": "upper", "delta": float(high_gap[j])}
+    return True, None
+
+
+def _disjoint_dim(a: Box, b: Box, tol: float) -> int | None:
+    # tol = 0 demands a strict gap (agrees with intersect() emptiness);
+    # tol > 0 additionally accepts overlaps of depth at most tol
+    gap = np.maximum(a.lower - b.upper, b.lower - a.upper)
+    j = int(np.argmax(gap))
+    threshold = -tol if tol > 0 else 0.0
+    return j if gap[j] > threshold else None
+
+
 def ref_check_capture(params, rule, tolerance=0.0):
     form, rels = rule.form, rule.relations
     if form == COMPOSITION:
@@ -979,3 +1020,85 @@ def test_rule_engine_matches_the_previous_engine(monkeypatch):
     assert set(kinds) == {"symmetry-vs-antisymmetry", "implied-overlap",
                           "sharing-vs-exclusion"}, kinds
     assert captured.count(True) > 1000 and captured.count(False) > 1000
+
+
+# -- box stats: the report before it compared boxes in array steps -------------
+#
+# Copied from the engine before box_stats read bound arrays: two Box objects
+# and up to four predicates per relation pair and position.
+
+def ref_box_stats(params: ModelParams) -> dict:
+    """Per relation/position box-shape report.
+
+    Geometric mean side length uses effective (post-bounding) bounds and is
+    exactly 0 when any side is degenerate.  Pairwise containment/overlap is
+    reported per matching position for same-arity relation pairs.
+    """
+    vocab = params.vocab
+    relations = []
+    for rel in range(vocab.n_relations):
+        positions = []
+        for p in range(vocab.arity(rel)):
+            box = params.effective_box(rel, p)
+            sides = box.upper - box.lower
+            if (sides == 0).any():
+                gmean = 0.0
+            else:
+                gmean = float(np.exp(np.mean(np.log(sides))))
+            positions.append({"position": p, "gmean_side": gmean})
+        entry = {"relation": vocab.relation_names[rel], "positions": positions}
+        if vocab.arity(rel) == 2:
+            eq, _ = _boxes_equal(params.effective_box(rel, 0),
+                                 params.effective_box(rel, 1), 0.0)
+            entry["symmetry_shaped"] = eq
+        relations.append(entry)
+    pairs = []
+    for r1 in range(vocab.n_relations):
+        for r2 in range(r1 + 1, vocab.n_relations):
+            if vocab.arity(r1) != vocab.arity(r2):
+                continue
+            for p in range(vocab.arity(r1)):
+                a = params.effective_box(r1, p)
+                b = params.effective_box(r2, p)
+                eq, _ = _boxes_equal(a, b, 0.0)
+                if eq:
+                    relation = "equal"
+                elif _contains_with_tol(a, b, 0.0)[0]:
+                    relation = "contains"
+                elif _contains_with_tol(b, a, 0.0)[0]:
+                    relation = "inside"
+                elif _disjoint_dim(a, b, 0.0) is not None:
+                    relation = "disjoint"
+                else:
+                    relation = "overlap"
+                pairs.append({"a": vocab.relation_names[r1],
+                              "b": vocab.relation_names[r2],
+                              "position": p, "relation": relation})
+    return {"relations": relations, "pairs": pairs}
+
+
+def random_box_params(rng):
+    """1-8 relations of arity 1-3 in d 1-3, bounded or not, slots merged in
+    about 30% of cases; half-integer corners, so equal, nested, touching and
+    degenerate boxes occur."""
+    n_rel = int(rng.integers(1, 9))
+    vocab = Vocabulary(["e"], [f"r{i}" for i in range(n_rel)],
+                       [int(a) for a in rng.integers(1, 4, size=n_rel)])
+    p = init_params(vocab, int(rng.integers(1, 4)), rng,
+                    bounded=bool(rng.integers(2)))
+    p.box_a[:] = rng.integers(-3, 4, size=p.box_a.shape) / 2
+    p.box_b[:] = rng.integers(-3, 4, size=p.box_b.shape) / 2
+    if rng.random() < 0.3:
+        p.merge_slots([(int(s), int(t)) for s, t in
+                       rng.integers(p.n_slots, size=(int(rng.integers(1, 4)), 2))])
+    return p
+
+
+def test_box_stats_matches_the_previous_report():
+    kinds = set()
+    for seed in range(300):
+        p = random_box_params(np.random.default_rng([seed, 3]))
+        got = box_stats(p)
+        assert json.dumps(got) == json.dumps(ref_box_stats(p)), seed
+        kinds |= {e["relation"] for e in got["pairs"]}
+    assert kinds == {"equal", "contains", "inside", "disjoint", "overlap"}
