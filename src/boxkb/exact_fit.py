@@ -44,7 +44,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .kb import Fact, Vocabulary
-from .model import ModelParams, final_embedding
+from .model import _TABLES, ModelParams, final_embedding, fresh_slots
 
 PAD_ENTITY = 0  # fills the positions past a relation's arity
 
@@ -110,6 +110,9 @@ def parse_table(path) -> TruthTable:
                 if len(tokens) < 2:
                     raise TableFormatError(f"{path}:{lineno}: no entities listed")
                 for name in tokens[1:]:
+                    if name in vocab.entity_names:
+                        raise TableFormatError(
+                            f"{path}:{lineno}: duplicate entity {name!r}")
                     vocab.entity_id(name, create=True)
                 saw_entities = True
             elif tokens[0] == "relation":
@@ -140,8 +143,8 @@ def parse_table(path) -> TruthTable:
                         f"{path}:{lineno}: expected {arity} entities and a label")
                 try:
                     ents = tuple(vocab.entity_id(n) for n in tokens[1:-1])
-                except KeyError as exc:
-                    raise TableFormatError(f"{path}:{lineno}: {exc}")
+                except KeyError as exc:  # str() of a KeyError quotes its message
+                    raise TableFormatError(f"{path}:{lineno}: {exc.args[0]}")
                 label = tokens[-1].lower()
                 if label not in ("0", "1", "true", "false"):
                     raise TableFormatError(
@@ -215,16 +218,14 @@ def build_all_true(vocab: Vocabulary) -> ExactFitModel:
     d = vocab.n_relations * n_e ** (n_max - 1)
     internal = Vocabulary(list(vocab.entity_names), list(vocab.relation_names),
                           [n_max] * vocab.n_relations)
-    n_slots = vocab.n_relations * n_max
+    slot_of, n_slots = fresh_slots(internal.relation_arities)
     params = ModelParams(
         vocab=internal,
-        d=d,
         entity_base=np.zeros((n_e, d)),
         entity_bump=np.zeros((n_e, d)),
         box_a=np.full((n_slots, d), -0.5),
         box_b=np.full((n_slots, d), 0.5),
-        slot_of=[np.arange(r * n_max, (r + 1) * n_max, dtype=np.int64)
-                 for r in range(vocab.n_relations)],
+        slot_of=slot_of,
         norm_order=2,
         bounded=False,
     )
@@ -321,16 +322,16 @@ def _flip_general(model: ExactFitModel, fact: Fact) -> None:
         base[ents[p]] = 0
         upper = np.full(params.n_slots, wide, dtype=np.float64)
         upper[params.slot_of[rel][p]] = exit_bound
-        saved = params.entity_base, params.entity_bump, params.box_a, params.box_b
+        # one new column per table, in _TABLES order (any two corners are a box)
         column = base, w, np.full(params.n_slots, -wide), upper
-        params.entity_base, params.entity_bump, params.box_a, params.box_b = (
-            np.column_stack(pair) for pair in zip(saved, column))
-        params.d += 1
+        saved = [getattr(params, name) for name in _TABLES]
+        for name, table, extra in zip(_TABLES, saved, column):
+            setattr(params, name, np.column_stack((table, extra)))
         if all(_classify_padded(model, model.pad(k)) == want
                for k, want in expected.items()):
             return
-        params.entity_base, params.entity_bump, params.box_a, params.box_b = saved
-        params.d -= 1
+        for name, table in zip(_TABLES, saved):
+            setattr(params, name, table)
     raise ExactFitError(f"no exit placement found for fact {key}")
 
 

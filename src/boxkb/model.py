@@ -6,9 +6,10 @@ r(e_1, ..., e_n) the position-i point is
     final_i = (base_i - bump_i) + sum_j bump_j
 
 so each entity shifts its co-participants but not itself (for arity 1 the
-formula collapses to the base alone).  Ranking exploits this algebra: the
-|E| facts that substitute every entity at one position share the bump sum
-but for one term, so ``score_candidates`` scores them all with (E, d)
+formula collapses to the base alone).  ``_final_points`` alone forms these
+points, the bump sum added left to right.  Ranking exploits this algebra:
+the |E| facts that substitute every entity at one position share the bump
+sum but for one term, so ``score_candidates`` scores them all with (E, d)
 broadcasts over the entity tables -- a per-query working set of a few
 (E, d) arrays, not an (E, n, d) gather -- and returns bitwise the scores
 ``score_batch`` gives the same rows.  Relation r owns one box per argument
@@ -33,7 +34,7 @@ from __future__ import annotations
 import base64
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,6 @@ def bound(raw: np.ndarray) -> np.ndarray:
 @dataclass
 class ModelParams:
     vocab: Vocabulary
-    d: int
     entity_base: np.ndarray  # (E, d)
     entity_bump: np.ndarray  # (E, d)
     box_a: np.ndarray        # (n_slots, d), free corner
@@ -69,10 +69,15 @@ class ModelParams:
     per_dim_branch: bool = False
 
     def __post_init__(self) -> None:
-        if self.norm_order not in (1, 2):
-            raise ValueError("norm_order must be 1 or 2")
+        if type(self.norm_order) is not int or self.norm_order not in (1, 2):
+            raise ValueError(f"norm_order is {self.norm_order!r}, not 1 or 2")
         if self.d < 1:
             raise ValueError("embedding dimensionality must be positive")
+
+    @property
+    def d(self) -> int:
+        """Embedding dimensionality: the width of every table."""
+        return self.entity_base.shape[1]
 
     @property
     def n_slots(self) -> int:
@@ -89,12 +94,15 @@ class ModelParams:
         lo, hi = self.raw_bounds(slots)
         return (np.tanh(lo), np.tanh(hi)) if self.bounded else (lo, hi)
 
-    def set_raw_bounds(self, slots, lo, hi) -> None:
-        """Write raw bounds ``lo`` and ``hi`` at ``slots`` (any index into the
-        box tables), each through the free corner that holds it now."""
+    def to_corners(self, slots, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Per-bound values ``lo`` and ``hi`` at ``slots`` (any index into the
+        box tables) as (box_a, box_b) values, each through the corner holding it."""
         a_is_min = self.box_a[slots] <= self.box_b[slots]
-        self.box_a[slots] = np.where(a_is_min, lo, hi)
-        self.box_b[slots] = np.where(a_is_min, hi, lo)
+        return np.where(a_is_min, lo, hi), np.where(a_is_min, hi, lo)
+
+    def set_raw_bounds(self, slots, lo, hi) -> None:
+        """Write raw bounds ``lo`` and ``hi`` at ``slots`` through ``to_corners``."""
+        self.box_a[slots], self.box_b[slots] = self.to_corners(slots, lo, hi)
 
     def set_raw_lower(self, slot: int, dim: int, value: float) -> None:
         self.set_raw_bounds((slot, dim), value, self.raw_bounds((slot, dim))[1])
@@ -130,34 +138,27 @@ class ModelParams:
         return mapping
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            vocab=self.vocab.copy(),
-            d=self.d,
-            entity_base=self.entity_base.copy(),
-            entity_bump=self.entity_bump.copy(),
-            box_a=self.box_a.copy(),
-            box_b=self.box_b.copy(),
-            slot_of=[s.copy() for s in self.slot_of],
-            norm_order=self.norm_order,
-            bounded=self.bounded,
-            per_dim_branch=self.per_dim_branch,
-        )
+        return replace(self, vocab=self.vocab.copy(), slot_of=[s.copy() for s in self.slot_of],
+                       **{name: getattr(self, name).copy() for name in _TABLES})
+
+
+def fresh_slots(arities) -> tuple[list[np.ndarray], int]:
+    """One fresh box slot per relation position, numbered in relation order:
+    each relation's (arity,) slot ids, and the slot count."""
+    ends = np.cumsum([0, *arities], dtype=np.int64)
+    return [np.arange(a, b, dtype=np.int64) for a, b in zip(ends, ends[1:])], int(ends[-1])
 
 
 def init_params(vocab: Vocabulary, d: int, rng: np.random.Generator,
                 norm_order: int = 2, bounded: bool = True) -> ModelParams:
     """Uniform [-0.5, 0.5] initialization for all parameter tensors."""
     n_e = vocab.n_entities
-    slots = []
-    offset = 0
-    for arity in vocab.relation_arities:
-        slots.append(np.arange(offset, offset + arity, dtype=np.int64))
-        offset += arity
+    slot_of, n_slots = fresh_slots(vocab.relation_arities)
     base = rng.uniform(-0.5, 0.5, size=(n_e, d))
     bump = rng.uniform(-0.5, 0.5, size=(n_e, d))
-    box_a = rng.uniform(-0.5, 0.5, size=(offset, d))
-    box_b = rng.uniform(-0.5, 0.5, size=(offset, d))
-    return ModelParams(vocab, d, base, bump, box_a, box_b, slots,
+    box_a = rng.uniform(-0.5, 0.5, size=(n_slots, d))
+    box_b = rng.uniform(-0.5, 0.5, size=(n_slots, d))
+    return ModelParams(vocab, base, bump, box_a, box_b, slot_of,
                        norm_order=norm_order, bounded=bounded)
 
 
@@ -207,34 +208,37 @@ def dist(point: np.ndarray, box: Box, per_dim: bool = False) -> np.ndarray:
 
 def final_embedding(params: ModelParams, fact: Fact) -> np.ndarray:
     """Per-position final points of a fact, after bounding; shape (arity, d)."""
-    return _final_points(params, np.array([fact.entities], dtype=np.int64))[0]
+    return np.stack(list(_final_points(params, fact.entities)))
 
 
-def _final_points(params: ModelParams, ents: np.ndarray) -> np.ndarray:
-    """(B, n) entity ids -> bounded final points of shape (B, n, d)."""
-    bump = params.entity_bump[ents]
-    pts = params.entity_base[ents] - bump
-    pts += bump.sum(axis=1, keepdims=True)
-    return _bound_points(params, pts)
-
-
-def _bound_points(params: ModelParams, pts: np.ndarray) -> np.ndarray:
-    """Squash final points in place when the model is ``bounded``."""
-    return np.tanh(pts, out=pts) if params.bounded else pts
+def _final_points(params: ModelParams, operands, base_less_bump=None):
+    """Yield each position's bounded final points in turn: (base - bump) of
+    its operand plus S, the bump sum added left to right.  ``operands[p]``
+    (an id column, one id, or ``slice(None)`` for every entity) indexes the
+    entity tables; the caller's ``base_less_bump`` stands in at a slice."""
+    base, bump = params.entity_base, params.entity_bump
+    s = bump[operands[0]]
+    for op in operands[1:]:
+        s = s + bump[op]
+    for op in operands:
+        if base_less_bump is not None and isinstance(op, slice):
+            pts = base_less_bump + s
+        else:
+            pts = (base[op] - bump[op]) + s
+        yield np.tanh(pts, out=pts) if params.bounded else pts
 
 
 def _box_tensors(params: ModelParams, relation: int):
     slots = params.slot_of[relation]
     lo, hi = params.effective_bounds(slots)
-    a_is_min = params.box_a[slots] <= params.box_b[slots]
-    return (slots, lo, hi, *_box_shape(lo, hi), a_is_min)
+    return (slots, lo, hi, *_box_shape(lo, hi))
 
 
 def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
                     overwrite: bool = False) -> np.ndarray:
     """Norm of the distance of each point of ``x`` (B, d) to box ``p`` of
     ``box`` (a ``_box_tensors`` tuple); ``overwrite`` as in ``_distance``."""
-    _, lo, hi, c, w, kappa, _ = box
+    _, lo, hi, c, w, kappa = box
     dv = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p], params.per_dim_branch,
                    overwrite)[0]
     if params.norm_order == 1:
@@ -245,12 +249,12 @@ def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
 @dataclass
 class ForwardCache:
     """What ``backward`` needs from ``forward``: the scored rows, their final
-    points (B, n, d) and per-position norms (B, n).  Everything else is
-    recomputed one position at a time, on (B, d) slices, to keep memory low.
+    points (one (B, d) array per position) and per-position norms (B, n).
+    Everything else is recomputed one position at a time, to keep memory low.
     """
     relation: int
     ents: np.ndarray
-    points: np.ndarray
+    points: list[np.ndarray]
     norms: np.ndarray
 
 
@@ -258,15 +262,14 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
             ) -> tuple[np.ndarray, ForwardCache]:
     """Scores of a batch of same-relation facts given as a (B, n) id array."""
     ents = np.asarray(ents, dtype=np.int64)
-    pts = _final_points(params, ents)
     box = _box_tensors(params, relation)
-    B, n = ents.shape
-    norms = np.empty((B, n), dtype=np.float64)
-    total = np.zeros(B, dtype=np.float64)
-    for p in range(n):
-        norms[:, p] = _position_norms(params, pts[:, p, :], box, p)
+    points = list(_final_points(params, ents.T))
+    norms = np.empty(ents.shape, dtype=np.float64)
+    total = np.zeros(ents.shape[0], dtype=np.float64)
+    for p, x in enumerate(points):
+        norms[:, p] = _position_norms(params, x, box, p)
         total += norms[:, p]
-    return total, ForwardCache(relation, ents, pts, norms)
+    return total, ForwardCache(relation, ents, points, norms)
 
 
 def score_candidates(params: ModelParams, relation: int, entities, position: int,
@@ -275,23 +278,16 @@ def score_candidates(params: ModelParams, relation: int, entities, position: int
     of ``entities``; bitwise the ``score_batch`` scores of those rows.
 
     ``base_less_bump`` is ``entity_base - entity_bump``, which the caller
-    forms once.  The rows differ only in the candidate, so their bump sums
-    are one (E, d) array S, summed left to right as ``_final_points`` does
-    with the whole bump table at ``position``.  The candidate's points are
-    ``base_less_bump + S`` and every other position q's are
-    ``(base_q - bump_q) + S``: (E, d) broadcasts, never an (E, n, d) gather.
+    forms once.  The rows differ only in the candidate, so ``_final_points``
+    takes every entity at ``position`` and one id elsewhere: (E, d)
+    broadcasts, one position at a time, never an (E, n, d) gather.
     """
-    ents = [int(e) for e in entities]
-    base, bump = params.entity_base, params.entity_bump
-    s = bump if position == 0 else bump[ents[0]]
-    for q in range(1, len(ents)):
-        s = s + (bump if q == position else bump[ents[q]])
+    operands = [slice(None) if q == position else int(e)
+                for q, e in enumerate(entities)]
     box = _box_tensors(params, relation)
-    total = np.zeros(bump.shape[0], dtype=np.float64)
-    for q, e in enumerate(ents):
-        x = base_less_bump + s if q == position else (base[e] - bump[e]) + s
-        total += _position_norms(params, _bound_points(params, x), box, q,
-                                 overwrite=True)
+    total = np.zeros(params.entity_base.shape[0], dtype=np.float64)
+    for q, x in enumerate(_final_points(params, operands, base_less_bump)):
+        total += _position_norms(params, x, box, q, overwrite=True)
     return total
 
 
@@ -343,12 +339,11 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
     norm has zero gradient at the origin.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    ents, pts = cache.ents, cache.points
+    ents = cache.ents
     B, n = ents.shape
-    slots, lo, hi, c, w, kappa, a_is_min = _box_tensors(params, cache.relation)
+    slots, lo, hi, c, w, kappa = _box_tensors(params, cache.relation)
     g_raw = np.empty((B, n, params.d), dtype=np.float64)
-    for p in range(n):
-        x = pts[:, p, :]
+    for p, x in enumerate(cache.points):
         dv, z, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],
                                      params.per_dim_branch)
         if params.norm_order == 1:
@@ -373,8 +368,9 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
             g_lo = g_lo * (1.0 - lo[p] * lo[p])
             g_hi = g_hi * (1.0 - hi[p] * hi[p])
         slot = int(slots[p])
-        buf.boxa[slot] += np.where(a_is_min[p], g_lo, g_hi)
-        buf.boxb[slot] += np.where(a_is_min[p], g_hi, g_lo)
+        g_a, g_b = params.to_corners(slot, g_lo, g_hi)
+        buf.boxa[slot] += g_a
+        buf.boxb[slot] += g_b
         buf.box_touched[slot] = True
         if params.bounded:
             np.multiply(g_z, 1.0 - x * x, out=g_raw[:, p, :])
@@ -473,10 +469,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 
     Both versions are rejected unless the entity and relation names are
     lists of strings, each relation has a positive int arity, ``d`` is a
-    positive int, ``bounded`` and ``per_dim_branch`` are bools, every table
-    has the right shape and every value is finite.  A version 1 file
-    (per-relation float lists, no slot map) also needs one box per
-    position; it loads with one independent slot per position.  A version 2
+    positive int, ``norm_order`` is the int 1 or 2, ``bounded`` and
+    ``per_dim_branch`` are bools, every table has the right shape and every
+    value is finite.  A version 1 file (per-relation float lists, no slot
+    map) also needs ``relation_boxes`` to be a list of {corner_a, corner_b}
+    lists with one box per position; it loads with ``fresh_slots``.  A version 2
     file needs each table to decode to exactly rows * d * 8 bytes and each
     relation's ``slot_of`` row to hold one int in [0, n_slots) per position.
     """
@@ -487,11 +484,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                    if type(version) is int else None)
     if read_tables is None:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    header = _checkpoint_header(payload)
-    return ModelParams(**header, **read_tables(payload, header["vocab"], header["d"]))
+    vocab, d, flags = _checkpoint_header(payload)
+    return ModelParams(vocab, **read_tables(payload, vocab, d), **flags)
 
 
-def _checkpoint_header(payload: dict) -> dict:
+def _checkpoint_header(payload: dict) -> tuple[Vocabulary, int, dict]:
     """The vocabulary, ``d`` and flags both versions store, checked."""
     entities, names, arities = payload["entities"], payload["relations"], payload["arities"]
     if not (all(isinstance(part, list) for part in (entities, names, arities))
@@ -512,7 +509,7 @@ def _checkpoint_header(payload: dict) -> dict:
     for key in ("bounded", "per_dim_branch"):
         if type(flags[key]) is not bool:
             raise ValueError(f"checkpoint {key} is {flags[key]!r}, not a bool")
-    return {"vocab": vocab, "d": d, **flags}
+    return vocab, d, flags
 
 
 def _v2_tables(payload: dict, vocab: Vocabulary, d: int) -> dict:
@@ -555,26 +552,27 @@ def _decoded_table(text, n_rows: int, d: int, what: str) -> np.ndarray:
 def _v1_tables(payload: dict, vocab: Vocabulary, d: int) -> dict:
     """The tables of a version 1 payload, checked, with one slot per position."""
     boxes = payload["relation_boxes"]
+    if not (isinstance(boxes, list) and all(
+            isinstance(rel, dict) and isinstance(rel.get(corner), list)
+            for rel in boxes for corner in ("corner_a", "corner_b"))):
+        raise ValueError("checkpoint relation_boxes is not a list of "
+                         "{corner_a, corner_b} lists")
     if len(boxes) != vocab.n_relations:
         raise ValueError(f"checkpoint has {len(boxes)} box sets for "
                          f"{vocab.n_relations} relations")
-    box_a_rows, box_b_rows, slot_of = [], [], []
-    offset = 0
     for name, arity, rel in zip(vocab.relation_names, vocab.relation_arities, boxes):
         ca, cb = rel["corner_a"], rel["corner_b"]
         if len(ca) != arity or len(cb) != arity:
             raise ValueError(f"relation {name!r} of arity {arity} has "
                              f"{len(ca)} and {len(cb)} box corners")
-        box_a_rows.extend(ca)
-        box_b_rows.extend(cb)
-        slot_of.append(np.arange(offset, offset + arity, dtype=np.int64))
-        offset += arity
+    rows = {corner: [row for rel in boxes for row in rel[corner]]
+            for corner in ("corner_a", "corner_b")}
+    slot_of, n_slots = fresh_slots(vocab.relation_arities)
     n_e = vocab.n_entities
     return {
         "entity_base": _checkpoint_table(payload["entity_base"], n_e, d, "entity_base"),
         "entity_bump": _checkpoint_table(payload["entity_bump"], n_e, d, "entity_bump"),
-        "box_a": _checkpoint_table(box_a_rows, offset, d, "corner_a"),
-        "box_b": _checkpoint_table(box_b_rows, offset, d, "corner_b"),
+        "box_a": _checkpoint_table(rows["corner_a"], n_slots, d, "corner_a"),
+        "box_b": _checkpoint_table(rows["corner_b"], n_slots, d, "corner_b"),
         "slot_of": slot_of,
     }
-

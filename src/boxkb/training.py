@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit, softmax
 
+from . import rules  # rules.apply_projection is looked up per call, so a wrapper sees it
 from .kb import Fact, KnowledgeBase, Vocabulary, group_by_relation, known_rows
 from .model import GradBuffer, GradMap, ModelParams, SlotKey, backward, forward, score
 
@@ -272,8 +273,6 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
                 projection_plan=None, epoch: int = 0,
                 stats: dict | None = None) -> dict:
     """One shuffled pass over the training split; returns epoch metrics."""
-    from .rules import apply_projection  # local import, rules depends on model
-
     t0 = time.perf_counter()
     facts = list(kb.train)
     shuffle_rng = stream_rng(config.seed, STREAM_SHUFFLE, epoch)
@@ -310,7 +309,7 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
                 })
         adam_update(optimizer, params, buf, config.learning_rate)
         if projection_plan is not None:
-            growth += apply_projection(params, projection_plan)
+            growth += rules.apply_projection(params, projection_plan)
         total_loss += batch_loss
     wall_ms = (time.perf_counter() - t0) * 1e3
     return {

@@ -422,6 +422,42 @@ def test_eval_bad_ks(capsys, data):
     assert "error:" in err
 
 
+def test_eval_rejects_a_zero_hits_cutoff(capsys, data):
+    outdir = data["tmp"] / "run"
+    assert run_main(capsys, train_argv(data, outdir))[0] == 0
+    code, out, err = run_main(capsys, [
+        "eval", "--checkpoint", str(outdir / "best.json"),
+        "--train", data["train"], "--split", "train", "--ks", "0"])
+    assert code == 1 and out == ""
+    assert "error: Hits@K values must be positive integers\n" in err
+
+
+# a version 1 checkpoint of one binary relation over one entity, d = 1
+V1_PAYLOAD = {"version": 1, "entities": ["a"], "relations": ["r"], "arities": [2],
+              "d": 1, "norm_order": 2, "bounded": True, "per_dim_branch": False,
+              "entity_base": [[0.0]], "entity_bump": [[0.0]],
+              "relation_boxes": [{"corner_a": [[-0.5], [-0.5]],
+                                  "corner_b": [[0.5], [0.5]]}]}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("relation_boxes", 5), ("relation_boxes", [1]),
+    ("relation_boxes", [{"corner_a": 3, "corner_b": 4}]),
+    ("norm_order", True), ("norm_order", 2.0)])
+@pytest.mark.parametrize("command", [["box-stats"], ["eval"], ["rules", "verify"]])
+def test_malformed_v1_checkpoint_is_an_error_line(capsys, data, key, value, command):
+    rules = write_lines(data["tmp"] / "rules.txt", ["symmetry r"])
+    extra = {"eval": ["--train", data["train"]], "rules": ["--rules", rules]}
+    ckpt = data["tmp"] / "v1.json"
+    ckpt.write_text(json.dumps(V1_PAYLOAD))
+    assert run_main(capsys, ["box-stats", "--checkpoint", str(ckpt)])[0] == 0
+    ckpt.write_text(json.dumps({**V1_PAYLOAD, key: value}))
+    code, out, err = run_main(
+        capsys, [*command, "--checkpoint", str(ckpt), *extra.get(command[0], [])])
+    assert code == 1 and out == ""
+    assert "error: cannot load checkpoint: " in err
+
+
 # -- fit-exact subcommand --
 
 
@@ -464,7 +500,31 @@ def test_fit_exact_failure_exits_1_with_an_error_line(capsys, tmp_path, monkeypa
     assert "error: no exit placement found for fact (0, 0, 1)\n" in err
 
 
+def test_fit_exact_rejects_a_repeated_entity_name(capsys, tmp_path):
+    table = write_lines(tmp_path / "table.txt", [
+        "entities a b a", "relation r 2",
+        "r a a 1", "r a b 0", "r b a 1", "r b b 0"])
+    code, out, err = run_main(capsys, ["fit-exact", table])
+    assert code == 1 and out == ""
+    assert "table.txt:1: duplicate entity 'a'" in err
+
+
+def test_fit_exact_rejects_a_unary_only_table(capsys, tmp_path):
+    table = write_lines(tmp_path / "table.txt",
+                        ["entities a b", "relation r 1", "r a 1", "r b 0"])
+    code, out, err = run_main(capsys, ["fit-exact", table])
+    assert code == 1 and out == ""
+    assert "error: exact fitting requires at least one relation of arity > 1\n" in err
+
+
 # -- rules subcommands --
+
+
+def test_rules_closure_missing_rule_file(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_main(capsys, ["rules", "closure", "--rules", str(missing)])
+    assert code == 1 and out == ""
+    assert f"error: rule file not found: {missing}\n" in err
 
 
 def test_rules_closure_cli(capsys, tmp_path):

@@ -84,6 +84,18 @@ def test_parse_table_errors(tmp_path, content, message):
         parse_table(path)
 
 
+@pytest.mark.parametrize("content,message", [
+    ("entities a b a\nrelation r 1\nr a 1\nr b 1\n", "bad.txt:1: duplicate entity 'a'"),
+    ("entities\nrelation r 1\n", "bad.txt:1: no entities listed"),
+    ("entities a\nrelation r 2\nr a b 1\n", "bad.txt:3: unknown entity 'b'"),
+])
+def test_parse_table_rejects_bad_entity_names(tmp_path, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with pytest.raises(TableFormatError, match=message):
+        parse_table(path)
+
+
 # -- dimension layout -----------------------------------------------------------
 
 def test_dim_index_examples():

@@ -52,6 +52,14 @@ def test_parse_rejects_bad_columns(tmp_path):
         parse_kb(train)
 
 
+def test_parse_nary_rejects_a_line_with_only_a_relation(tmp_path):
+    train = tmp_path / "train.tsv"
+    write(train, ["likes\tann\tcar", "likes"])
+    with pytest.raises(KBFormatError,
+                       match="train.tsv:2: expected relation plus at least one entity"):
+        parse_kb(train, fmt=FORMAT_NARY)
+
+
 def test_parse_rejects_arity_mismatch(tmp_path):
     train = tmp_path / "train.tsv"
     write(train, ["r\ta\tb", "r\ta\tb\tc"])

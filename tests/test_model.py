@@ -289,6 +289,37 @@ def test_score_candidates_equals_score_batch_bitwise(norm_order, bounded,
                     (rel, tuple(anchor), pos)
 
 
+def one_dim_params(arity):
+    """d = 1, unbounded, entity 0's bump 1e16 and the others' 1: a bump sum
+    of 1e16 and ones is 1e16 when added left to right (each 1 is half an
+    ulp), but not when the ones are added up first."""
+    p = make_params(n_entities=3, arities=(arity,), d=1, seed=arity, bounded=False)
+    p.entity_bump[:, 0] = [1e16, 1.0, 1.0]
+    return p
+
+
+@pytest.mark.parametrize("arity", [8, 9])
+def test_score_candidates_equals_score_batch_bitwise_at_one_dimension(arity):
+    # at d = 1 a (B, n, 1) gather summed over n would be a contiguous
+    # reduction, which numpy does not add left to right from eight terms on
+    p = one_dim_params(arity)
+    base_less_bump = p.entity_base - p.entity_bump
+    anchor = np.array([0] + [1] * (arity - 1))
+    for pos in range(arity):
+        rows = np.tile(anchor, (3, 1))
+        rows[:, pos] = np.arange(3)
+        expect = score_batch(p, 0, rows)
+        got = score_candidates(p, 0, tuple(anchor), pos, base_less_bump)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), pos
+
+
+def test_final_embedding_adds_the_bump_sum_left_to_right():
+    p = one_dim_params(9)
+    ents = (0, 1, 2, 1, 2, 1, 2, 1, 2)
+    expect = [p.entity_base[e, 0] - p.entity_bump[e, 0] + 1e16 for e in ents]
+    assert final_embedding(p, Fact(0, ents))[:, 0].tolist() == expect
+
+
 def test_apply_gradient_offsets_descends():
     p = make_params(n_entities=3, d=4, seed=9)
     f = Fact(0, (0, 1))
@@ -327,6 +358,15 @@ def test_set_raw_bounds_route_to_min_max_corner():
     assert p.box_b[slot, 1] == 2.0 and p.box_a[slot, 1] == -1.0
     lo, hi = p.raw_bounds(slot)
     assert np.array_equal(lo, [-2.0, -1.0]) and np.array_equal(hi, [1.0, 2.0])
+
+
+def test_d_is_the_table_width():
+    p = make_params(n_entities=3, arities=(2, 3), d=4, seed=0)
+    assert p.d == 4 and p.copy().d == 4
+    with pytest.raises(AttributeError):
+        p.d = 5
+    p.entity_base = np.zeros((3, 6))
+    assert p.d == 6
 
 
 def test_effective_box_is_tanh_of_raw():
@@ -615,6 +655,31 @@ def test_checkpoint_load_rejects_a_malformed_vocabulary(tmp_path, save, key, val
     def bad(payload):
         payload[key] = value
     with pytest.raises(ValueError, match=message):
+        load_checkpoint(_tampered_checkpoint(tmp_path, bad, save))
+
+
+@pytest.mark.parametrize("boxes", [5, [1], [{"corner_a": 3, "corner_b": 4}],
+                                   [{"corner_a": [[0.0] * 3] * 2}, {"corner_b": []}]])
+def test_checkpoint_v1_rejects_relation_boxes_that_are_not_corner_lists(tmp_path, boxes):
+    def bad(payload):
+        payload["relation_boxes"] = boxes
+    with pytest.raises(ValueError, match="relation_boxes is not a list of"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, bad))
+
+
+def test_checkpoint_v1_rejects_more_box_sets_than_relations(tmp_path):
+    def extra(payload):
+        payload["relation_boxes"].append(payload["relation_boxes"][0])
+    with pytest.raises(ValueError, match="3 box sets for 2 relations"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, extra))
+
+
+@pytest.mark.parametrize("save", [save_checkpoint_v1, save_checkpoint])
+@pytest.mark.parametrize("value", [True, False, 2.0, 1.0, "2", 3, 0, None])
+def test_checkpoint_load_requires_norm_order_1_or_2(tmp_path, save, value):
+    def bad(payload):
+        payload["norm_order"] = value
+    with pytest.raises(ValueError, match=f"norm_order is {value!r}, not 1 or 2"):
         load_checkpoint(_tampered_checkpoint(tmp_path, bad, save))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxkb import rules
 from boxkb.kb import Fact, KnowledgeBase, Vocabulary, fact_index, known_rows
 from boxkb.model import GradBuffer, init_params, score, score_gradient
 from boxkb.synth import random_binary_kb
@@ -432,6 +433,25 @@ def test_filter_train_negatives_avoids_known_facts():
     train_epoch(p, OptimizerState(), kb, cfg, stats=stats)
     # the filter has few escapes here; any accepted collisions are counted
     assert stats.get("negatives_accepted_equal", 0) < 60
+
+
+def test_train_epoch_calls_apply_projection_through_the_rules_module(monkeypatch):
+    # a wrapper put on boxkb.rules.apply_projection after import sees every
+    # call: train_epoch looks the name up on the module, once per batch
+    kb = random_binary_kb(n_entities=8, n_relations=2, n_facts=20, seed=10)
+    p = init_params(kb.vocab, 3, stream_rng(10, STREAM_INIT))
+    plan = rules.inject([rules.Rule(rules.HIERARCHY, (0, 1))], p)
+    calls = []
+    real = rules.apply_projection
+
+    def counted(params, projection_plan):
+        calls.append(projection_plan)
+        return real(params, projection_plan)
+
+    monkeypatch.setattr(rules, "apply_projection", counted)
+    train_epoch(p, OptimizerState(), kb, TrainConfig(seed=10, batch_size=6),
+                projection_plan=plan)
+    assert len(calls) == math.ceil(len(kb.train) / 6) and all(c is plan for c in calls)
 
 
 def test_train_model_checkpoint_cadence():
