@@ -14,16 +14,18 @@ kb.n_scored_relations (inverse-augmentation helpers) are skipped.
 
 Candidates are scored by ``model.score_candidates`` from the bump algebra:
 substituting a candidate changes only its own position's base and one term
-of the bump sum S shared by every position, so a query costs a few (E, d)
-arrays -- S, one position's points, their distance vector -- at any arity,
-instead of an (E, n, d) gather of the candidate rows.  ``evaluate`` forms
-``entity_base - entity_bump`` once per call for every query to share.  The
-scores are bitwise those of ``score_batch`` on the (E, n) candidate rows.
+of the bump sum S shared by every position, so a query never gathers the
+(E, n, d) candidate rows; it forms S, one position's points and their
+distance vector for one cache-sized block of candidates at a time, at
+most about 1 MB at any |E| and arity.  ``evaluate`` forms ``entity_base -
+entity_bump`` once per call for every query to share.  The scores are
+bitwise those of ``score_batch`` on the (E, n) candidate rows.
 
-The filter tests the (E, n) candidate rows with ``kb.known_rows`` against
-the knowledge base's ``known_index`` (the membership test that training
-uses to filter negatives), which it builds on first use and keeps, so
-every ``evaluate`` and ``rank_fact`` call shares one index.
+The filter tests the candidate rows, one block at a time, with
+``kb.known_rows`` against the knowledge base's ``known_index`` (the
+membership test that training uses to filter negatives), which it builds
+on first use and keeps, so every ``evaluate`` and ``rank_fact`` call shares
+one index.  No query holds all (E, n) candidate rows at once.
 
 The unit of work is one distinct query, keyed by (relation, position, other
 entities): facts that differ only at the ranked position pose the same
@@ -45,7 +47,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .kb import Fact, KnowledgeBase, known_rows
-from .model import ModelParams, score_candidates
+from .model import ModelParams, row_blocks, score_candidates
 
 
 def rank_from_scores(scores: np.ndarray, target: int,
@@ -61,13 +63,23 @@ def rank_from_scores(scores: np.ndarray, target: int,
 
 
 def _candidate_scores(params: ModelParams, fact: Fact, position: int,
-                      base_less_bump: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (E, n) rows substituting every entity at ``position``, and their scores."""
-    n_e = params.vocab.n_entities
-    ents = np.tile(np.array(fact.entities, dtype=np.int64), (n_e, 1))
-    ents[:, position] = np.arange(n_e)
-    return ents, score_candidates(params, fact.relation, fact.entities, position,
-                                  base_less_bump)
+                      base_less_bump: np.ndarray) -> np.ndarray:
+    """Scores of the |E| rows substituting every entity at ``position``."""
+    return score_candidates(params, fact.relation, fact.entities, position,
+                            base_less_bump)
+
+
+def _known_candidates(index: dict[int, np.ndarray], fact: Fact, position: int,
+                      n_e: int) -> np.ndarray:
+    """(E,) mask of the rows substituting every entity at ``position`` that
+    are facts in ``index``, tested one ``row_blocks`` block of rows at a time."""
+    known = np.empty(n_e, dtype=bool)
+    row = np.array(fact.entities, dtype=np.int64)
+    for blk in row_blocks(n_e, row.nbytes):
+        rows = np.tile(row, (blk.stop - blk.start, 1))
+        rows[:, position] = np.arange(blk.start, blk.stop)
+        known[blk] = known_rows(index, fact.relation, rows)
+    return known
 
 
 def _query_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
@@ -77,8 +89,8 @@ def _query_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
     ``fact`` poses there, from one score vector and one filter mask; the
     filter drops the candidates that are facts in ``index``, a
     ``kb.fact_index``."""
-    rows, scores = _candidate_scores(params, fact, position, base_less_bump)
-    include = ~known_rows(index, fact.relation, rows)
+    scores = _candidate_scores(params, fact, position, base_less_bump)
+    include = ~_known_candidates(index, fact, position, scores.shape[0])
     return [(rank_from_scores(scores, t, None), rank_from_scores(scores, t, include))
             for t in targets]
 

@@ -9,13 +9,15 @@ so each entity shifts its co-participants but not itself (for arity 1 the
 formula collapses to the base alone).  ``_final_points`` alone forms these
 points, the bump sum added left to right.  Ranking exploits this algebra:
 the |E| facts that substitute every entity at one position share the bump
-sum but for one term, so ``score_candidates`` scores them all with (E, d)
-broadcasts over the entity tables -- a per-query working set of a few
-(E, d) arrays, not an (E, n, d) gather -- and returns bitwise the scores
-``score_batch`` gives the same rows.  Relation r owns one box per argument
-position; the fact's score is the sum over positions of the L-x norm of an
-element-wise distance between final_i and box i.  Lower scores mean more
-plausible facts.
+sum but for one term, so ``score_candidates`` scores them all with
+broadcasts over the entity tables, not an (E, n, d) gather, and returns
+bitwise the scores ``score_batch`` gives the same rows.  Both scorers work
+one block of rows at a time (``row_blocks``): every element-wise pass over
+a block stays within ``_BLOCK_BYTES``, so it runs in cache, and a ranking
+query holds at most about 1 MB at any |E| and arity.  Relation r owns one
+box per argument position; the fact's score is the sum over positions of
+the L-x norm of an element-wise distance between final_i and box i.  Lower
+scores mean more plausible facts.
 
 The distance is piecewise: inside the box it is |p - c| / w (shallow, keeps
 gradient signal for points already inside), outside it is |p - c| * w - kappa
@@ -188,7 +190,11 @@ def _distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
     t = np.abs(z, out=z if overwrite else None)
     dv = t * w
     dv -= kappa
-    np.divide(t, w, out=dv, where=branch)
+    if per_dim:
+        np.divide(t, w, out=dv, where=branch)
+    else:  # the inside formula for the inside points only
+        inside = branch[..., 0]
+        dv[inside] = t[inside] / w
     return dv, z, t, branch
 
 
@@ -211,11 +217,25 @@ def final_embedding(params: ModelParams, fact: Fact) -> np.ndarray:
     return np.stack(list(_final_points(params, fact.entities)))
 
 
+# Bytes of one block of rows that the scorers form at a time: a block's
+# element-wise passes then stay in a core's L2 cache.
+_BLOCK_BYTES = 256 * 1024
+
+
+def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Balanced slices covering ``range(n_rows)``, as few as keep each block
+    of rows ``row_bytes`` long within ``_BLOCK_BYTES``."""
+    n_blocks = max(1, -(-n_rows * row_bytes // _BLOCK_BYTES))
+    size = max(1, -(-n_rows // n_blocks))
+    return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
+
+
 def _final_points(params: ModelParams, operands, base_less_bump=None):
     """Yield each position's bounded final points in turn: (base - bump) of
     its operand plus S, the bump sum added left to right.  ``operands[p]``
-    (an id column, one id, or ``slice(None)`` for every entity) indexes the
-    entity tables; the caller's ``base_less_bump`` stands in at a slice."""
+    (an id column, one id, or a slice of entity rows) indexes the entity
+    tables; the caller's ``base_less_bump``, those rows' slice of it, stands
+    in at the slice."""
     base, bump = params.entity_base, params.entity_bump
     s = bump[operands[0]]
     for op in operands[1:]:
@@ -249,26 +269,33 @@ def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
 @dataclass
 class ForwardCache:
     """What ``backward`` needs from ``forward``: the scored rows, their final
-    points (one (B, d) array per position) and per-position norms (B, n).
-    Everything else is recomputed one position at a time, to keep memory low.
+    points (n, B, d) (``points[p]`` is position p's) and per-position norms
+    (B, n).  Everything else is recomputed one position at a time, to keep
+    memory low.
     """
     relation: int
     ents: np.ndarray
-    points: list[np.ndarray]
+    points: np.ndarray
     norms: np.ndarray
 
 
 def forward(params: ModelParams, relation: int, ents: np.ndarray
             ) -> tuple[np.ndarray, ForwardCache]:
-    """Scores of a batch of same-relation facts given as a (B, n) id array."""
+    """Scores of a batch of same-relation facts given as a (B, n) id array,
+    formed one ``row_blocks`` block of rows at a time."""
     ents = np.asarray(ents, dtype=np.int64)
     box = _box_tensors(params, relation)
-    points = list(_final_points(params, ents.T))
+    # one allocation for every position: n separate (B, d) arrays of a large
+    # batch go back to the system when freed and fault in again next call
+    points = np.empty((ents.shape[1], ents.shape[0], params.d))
     norms = np.empty(ents.shape, dtype=np.float64)
     total = np.zeros(ents.shape[0], dtype=np.float64)
-    for p, x in enumerate(points):
-        norms[:, p] = _position_norms(params, x, box, p)
-        total += norms[:, p]
+    for blk in row_blocks(ents.shape[0], 8 * params.d):
+        block_total = total[blk]
+        for p, x in enumerate(_final_points(params, ents[blk].T)):
+            points[p, blk] = x
+            norms[blk, p] = _position_norms(params, x, box, p, overwrite=True)
+            block_total += norms[blk, p]
     return total, ForwardCache(relation, ents, points, norms)
 
 
@@ -279,15 +306,17 @@ def score_candidates(params: ModelParams, relation: int, entities, position: int
 
     ``base_less_bump`` is ``entity_base - entity_bump``, which the caller
     forms once.  The rows differ only in the candidate, so ``_final_points``
-    takes every entity at ``position`` and one id elsewhere: (E, d)
-    broadcasts, one position at a time, never an (E, n, d) gather.
+    takes a block of entities at ``position`` and one id elsewhere: (rows, d)
+    broadcasts, one ``row_blocks`` block and one position at a time, never
+    an (E, n, d) gather nor even a whole (E, d) array.
     """
-    operands = [slice(None) if q == position else int(e)
-                for q, e in enumerate(entities)]
     box = _box_tensors(params, relation)
     total = np.zeros(params.entity_base.shape[0], dtype=np.float64)
-    for q, x in enumerate(_final_points(params, operands, base_less_bump)):
-        total += _position_norms(params, x, box, q, overwrite=True)
+    for blk in row_blocks(total.shape[0], 8 * params.d):
+        operands = [blk if q == position else int(e) for q, e in enumerate(entities)]
+        block_total = total[blk]
+        for q, x in enumerate(_final_points(params, operands, base_less_bump[blk])):
+            block_total += _position_norms(params, x, box, q, overwrite=True)
     return total
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkb import evaluation
+from boxkb import evaluation, model
 from boxkb.kb import (Fact, KnowledgeBase, Vocabulary, augment_inverses, fact_index,
                       known_rows)
 from boxkb.model import init_params, score_batch, score_candidates
@@ -319,6 +319,34 @@ def test_candidate_scores_working_set_does_not_grow_with_arity():
     assert max(peaks.values()) <= 4 * table, peaks
 
 
+def test_one_query_holds_a_fraction_of_one_entity_table():
+    # FB15k-237 size: scoring and filtering go one cache-sized block of
+    # candidates at a time, so a whole query, its ranks included, stays
+    # far below one (E, d) table at any arity
+    n_e, d = 15000, 200
+    table = n_e * d * 8
+    v = vocab_of(n_e, (2, 4))
+    params = init_params(v, d, np.random.default_rng(0))
+    base_less_bump = params.entity_base - params.entity_bump
+    rng = np.random.default_rng(1)
+    facts = [Fact(rel, tuple(int(e) for e in rng.integers(0, n_e, arity)))
+             for rel, arity in ((0, 2), (1, 4)) for _ in range(500)]
+    index = fact_index(facts)
+    peaks = {}
+    for fact in facts[::500]:
+        for position in range(fact.arity):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                _query_ranks(params, index, fact, position,
+                             [fact.entities[position]], base_less_bump)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            peaks[fact.relation, position] = peak
+    assert max(peaks.values()) <= table / 4, peaks
+
+
 # -- one score vector per distinct query --------------------------------------
 
 def reference_evaluate(params, kb, split, ks=(1, 3, 10)):
@@ -434,6 +462,18 @@ def test_evaluate_matches_the_per_fact_reference(case):
             assert evaluate(params, kb, "test", workers=workers) == expect, workers
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_evaluate_by_small_blocks_equals_the_reference(monkeypatch):
+    # blocks of a few candidates: each query's scores and filter mask are
+    # formed over several blocks, and every rank stays the same
+    kb, _ = hierarchy_ontology_kb(n_entities=30, leaf_facts=20, ancestor_facts=6, seed=2)
+    params = init_params(kb.vocab, 4, np.random.default_rng(2))
+    expect = reference_evaluate(params, kb, "test")
+    assert expect["mrr"] != expect["raw"]["mrr"]  # the filter drops candidates
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 80)
+    assert len(model.row_blocks(kb.vocab.n_entities, 16)) == 6  # filter blocks
+    assert evaluate(params, kb, "test") == expect
 
 
 def test_candidate_scores_run_once_per_distinct_query(monkeypatch):

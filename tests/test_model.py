@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxkb import model
 from boxkb.geometry import Box
 from boxkb.kb import Fact, Vocabulary
 from boxkb.model import (GradBuffer, GradMap, ModelParams, backward, bound, dist,
                          final_embedding, forward, init_params, load_checkpoint,
-                         save_checkpoint, score, score_batch, score_candidates,
-                         score_gradient)
+                         row_blocks, save_checkpoint, score, score_batch,
+                         score_candidates, score_gradient)
 
 
 def make_vocab(n_entities=4, arities=(2,)):
@@ -287,6 +288,60 @@ def test_score_candidates_equals_score_batch_bitwise(norm_order, bounded,
                 assert got.shape == expect.shape
                 assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), \
                     (rel, tuple(anchor), pos)
+
+
+def test_row_blocks_are_balanced_and_cover_every_row(monkeypatch):
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 160)  # five 32-byte rows
+    assert [(b.start, b.stop) for b in row_blocks(23, 32)] == \
+        [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
+    assert row_blocks(3, 32) == [slice(0, 3)]
+    assert row_blocks(0, 32) == []
+    assert [b.stop - b.start for b in row_blocks(10, 1000)] == [1] * 10
+
+
+def scoring_outputs(p, arities, rows_by_relation):
+    """Every scoring output as uint64 bit patterns: ``score_candidates`` at
+    each position of each row, and ``forward`` scores, ``cache.points`` and
+    the ``backward`` gradient tables of each relation's rows."""
+    base_less_bump = p.entity_base - p.entity_bump
+    out = []
+    for rel, rows in enumerate(rows_by_relation):
+        for anchor in rows[:3]:
+            for pos in range(arities[rel]):
+                out.append(score_candidates(p, rel, tuple(anchor), pos, base_less_bump))
+        scores, cache = forward(p, rel, rows)
+        buf = GradBuffer(p)
+        backward(p, cache, np.linspace(-1.0, 2.0, len(rows)), buf)
+        out += [scores, *cache.points, buf.base, buf.bump, buf.boxa, buf.boxb]
+    return [a.view(np.uint64) for a in out]
+
+
+@pytest.mark.parametrize("n_e", [23, 3])
+@pytest.mark.parametrize("norm_order,bounded", [(2, True), (1, False)])
+@pytest.mark.parametrize("per_dim_branch", [False, True])
+def test_blocked_scoring_equals_one_block_bitwise(monkeypatch, n_e, norm_order,
+                                                  bounded, per_dim_branch):
+    # blocks of five 32-byte rows: 23 rows are five blocks, the last of
+    # three rows, and 37 batch rows eight; 3 rows fit in one block
+    arities = (1, 2, 3, 4, 5, 2)
+    p = make_params(n_entities=n_e, arities=arities, d=4, seed=5,
+                    norm_order=norm_order, bounded=bounded)
+    p.per_dim_branch = per_dim_branch
+    p.merge_slots([(int(p.slot_of[5][0]), int(p.slot_of[5][1]))])
+    p.entity_base *= 3.0
+    for rel in (1, 3):  # boxes wide enough to hold some points
+        p.box_a[p.slot_of[rel]], p.box_b[p.slot_of[rel]] = -2.5, 2.5
+    rng = np.random.default_rng(11)
+    rows = [rng.integers(0, n_e, size=(37, a)) for a in arities]
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 160)
+    assert len(row_blocks(37, 8 * p.d)) == 8
+    blocked = scoring_outputs(p, arities, rows)
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 1 << 30)
+    assert len(row_blocks(37, 8 * p.d)) == 1
+    one_block = scoring_outputs(p, arities, rows)
+    assert len(blocked) == len(one_block)
+    for i, (got, expect) in enumerate(zip(blocked, one_block)):
+        assert got.shape == expect.shape and np.array_equal(got, expect), i
 
 
 def one_dim_params(arity):
