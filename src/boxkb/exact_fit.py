@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
+from .geometry import inside
 from .kb import Fact, Vocabulary
 from .model import _TABLES, ModelParams, final_embedding, fresh_slots
 
@@ -239,8 +240,7 @@ def _classify_padded(model: ExactFitModel, padded: tuple) -> bool:
     params = model.params
     rel, ents = padded[0], padded[1:]
     pts = final_embedding(params, Fact(rel, ents))
-    lo, hi = params.effective_bounds(params.slot_of[rel])
-    return bool((lo <= pts).all() and (pts <= hi).all())
+    return bool(inside(*params.effective_bounds(params.slot_of[rel]), pts).all())
 
 
 def classify(model: ExactFitModel, fact: Fact) -> bool:

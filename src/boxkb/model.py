@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, inside
 from .kb import Fact, Vocabulary
 
 CHECKPOINT_VERSION = 2
@@ -183,8 +183,7 @@ def _distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
     place the piecewise distance is written.  With ``overwrite`` the caller
     gives up ``x``: z and then t are formed in its buffer, so z is t.
     """
-    inside_dim = lo <= x
-    inside_dim &= x <= hi
+    inside_dim = inside(lo, hi, x)
     branch = inside_dim if per_dim else inside_dim.all(axis=-1, keepdims=True)
     z = np.subtract(x, c, out=x if overwrite else None)
     t = np.abs(z, out=z if overwrite else None)
@@ -193,8 +192,8 @@ def _distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
     if per_dim:
         np.divide(t, w, out=dv, where=branch)
     else:  # the inside formula for the inside points only
-        inside = branch[..., 0]
-        dv[inside] = t[inside] / w
+        rows_in = branch[..., 0]
+        dv[rows_in] = t[rows_in] / w
     return dv, z, t, branch
 
 

@@ -39,6 +39,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .geometry import cover, gap, meet, mismatch, overhang, within
 from .kb import Vocabulary
 from .model import ModelParams
 
@@ -344,29 +345,6 @@ class CaptureResult(NamedTuple):
     witness: dict | None
 
 
-# Box predicates over (lower, upper) bound arrays.  Per dimension, how far two
-# boxes are from equal, nested or apart; they broadcast over many box pairs.
-
-def _mismatch(a, b):
-    """Per side, how far the bounds of boxes ``a`` and ``b`` differ."""
-    return np.abs(a[0] - b[0]), np.abs(a[1] - b[1])
-
-
-def _overhang(outer, inner):
-    """Per side, how far box ``inner`` sticks out of box ``outer``."""
-    return outer[0] - inner[0], inner[1] - outer[1]
-
-
-def _gap(a, b):
-    """How far apart boxes ``a`` and ``b`` are; negative where they overlap."""
-    return np.maximum(a[0] - b[1], b[0] - a[1])
-
-
-def _within(excess) -> np.ndarray:
-    """Per box pair, whether no excess is positive in any dimension."""
-    return (np.maximum(*excess) <= 0).all(axis=-1)
-
-
 def _first_excess(lower: np.ndarray, upper: np.ndarray, tol: float) -> dict | None:
     """Witness of the first side whose largest excess is over ``tol``, or None."""
     for side, excess in (("lower", lower), ("upper", upper)):
@@ -391,8 +369,12 @@ def check_capture(params: ModelParams, rule: Rule, tolerance: float = 0.0
     Positions and dimensions in witnesses are 0-based.  For exclusion the
     witness reports the position/dimension establishing disjointness on
     success; for all other forms the witness describes the first violation
-    on failure.
+    on failure.  ``tolerance`` must be a finite number >= 0 (else
+    RuleError): a nan would pass every excess test, a negative one fail
+    exact containment.
     """
+    if not 0 <= tolerance < np.inf:
+        raise RuleError(f"tolerance is {tolerance!r}, not a finite number >= 0")
     form, rels = rule.form, rule.relations
     if form == COMPOSITION:
         raise UnsupportedRuleError(
@@ -403,30 +385,29 @@ def check_capture(params: ModelParams, rule: Rule, tolerance: float = 0.0
         return params.effective_bounds(int(params.slot_of[rel][p]))
 
     if form == SYMMETRY:
-        w = _first_excess(*_mismatch(box(rels[0], 0), box(rels[0], 1)), tolerance)
+        w = _first_excess(*mismatch(box(rels[0], 0), box(rels[0], 1)), tolerance)
         return CaptureResult(w is None, w)
     if form == ANTISYMMETRY:
-        j = _disjoint_dim(_gap(box(rels[0], 0), box(rels[0], 1)), tolerance)
+        j = _disjoint_dim(gap(box(rels[0], 0), box(rels[0], 1)), tolerance)
         if j is None:
             return CaptureResult(False, {"reason": "head and tail boxes overlap"})
         return CaptureResult(True, {"dimension": j})
     if form == EXCLUSION:
         for p in range(arity):
-            j = _disjoint_dim(_gap(box(rels[0], p), box(rels[1], p)), tolerance)
+            j = _disjoint_dim(gap(box(rels[0], p), box(rels[1], p)), tolerance)
             if j is not None:
                 return CaptureResult(True, {"position": p, "dimension": j})
         return CaptureResult(False, {"reason": "no position with disjoint boxes"})
     for p in range(2 if form == INVERSION else arity):
         if form == INVERSION:
-            excess = _mismatch(box(rels[0], p), box(rels[1], 1 - p))
+            excess = mismatch(box(rels[0], p), box(rels[1], 1 - p))
         elif form == HIERARCHY:
-            excess = _overhang(box(rels[1], p), box(rels[0], p))
+            excess = overhang(box(rels[1], p), box(rels[0], p))
         else:  # intersection: the head box must hold the body boxes' overlap
-            (lo1, hi1), (lo2, hi2) = box(rels[0], p), box(rels[1], p)
-            region = np.maximum(lo1, lo2), np.minimum(hi1, hi2)
-            if (region[0] > region[1]).any():
+            region, empty = meet(*zip(box(rels[0], p), box(rels[1], p)))
+            if empty:
                 continue  # empty body region, vacuously satisfied
-            excess = _overhang(box(rels[2], p), region)
+            excess = overhang(box(rels[2], p), region)
         w = _first_excess(*excess, tolerance)
         if w is not None:
             w["position"] = p
@@ -504,13 +485,9 @@ def apply_projection(params: ModelParams, plan: InjectionPlan) -> int:
     while True:
         changed = False
         for body, head in plan.containments:
-            rlo = lo[body].max(axis=0)
-            rhi = hi[body].min(axis=0)
-            if (rlo > rhi).any():
-                continue
-            if (rlo < lo[head]).any() or (rhi > hi[head]).any():
-                np.minimum(lo[head], rlo, out=lo[head])
-                np.maximum(hi[head], rhi, out=hi[head])
+            region, empty = meet(lo[body], hi[body])
+            if not (empty or within(overhang((lo[head], hi[head]), region))):
+                lo[head], hi[head] = cover((lo[head], hi[head]), region)
                 changed = True
         sweeps += 1
         if not changed:
@@ -518,14 +495,14 @@ def apply_projection(params: ModelParams, plan: InjectionPlan) -> int:
         if sweeps > sweep_limit:
             raise ProjectionError(
                 "projection failed to reach a fixpoint within its growth bound")
-    lo_moved = lo < orig_lo
-    hi_moved = hi > orig_hi
-    moves = int(lo_moved.sum() + hi_moved.sum())
+    # a bound moved where the projected box sticks out of the original one
+    moved_bounds = np.greater(overhang((orig_lo, orig_hi), (lo, hi)), 0)
+    moves = int(moved_bounds.sum())
     if moves > 2 * params.d * n_slots:
         raise ProjectionError(
             f"projection moved {moves} bounds, exceeding the "
             f"2 * d * slots = {2 * params.d * n_slots} bound")
-    moved = np.flatnonzero(lo_moved.any(axis=1) | hi_moved.any(axis=1))
+    moved = np.flatnonzero(moved_bounds.any(axis=(0, 2)))
     params.set_raw_bounds(moved, lo[moved], hi[moved])
     return moves
 
@@ -550,8 +527,7 @@ def box_stats(params: ModelParams) -> dict:
             positions.append({"position": p, "gmean_side": gmean})
         entry = {"relation": vocab.relation_names[rel], "positions": positions}
         if vocab.arity(rel) == 2:
-            entry["symmetry_shaped"] = bool(_within(_mismatch((lo[0], hi[0]),
-                                                              (lo[1], hi[1]))))
+            entry["symmetry_shaped"] = bool(within(mismatch((lo[0], hi[0]), (lo[1], hi[1]))))
         relations.append(entry)
     pairs = []
     for r1, a in enumerate(bounds):
@@ -560,8 +536,8 @@ def box_stats(params: ModelParams) -> dict:
         if not later:
             continue
         b = tuple(np.stack(side) for side in zip(*(bounds[r2] for r2 in later)))
-        kinds = np.select([_within(_mismatch(a, b)), _within(_overhang(a, b)),
-                           _within(_overhang(b, a)), (_gap(a, b) > 0).any(axis=-1)],
+        kinds = np.select([within(mismatch(a, b)), within(overhang(a, b)),
+                           within(overhang(b, a)), (gap(a, b) > 0).any(axis=-1)],
                           ["equal", "contains", "inside", "disjoint"], "overlap")
         for r2, row in zip(later, kinds.tolist()):
             for p, relation in enumerate(row):

@@ -584,6 +584,24 @@ def test_rules_verify_cli(capsys, tmp_path):
     assert "error" in results[1]  # composition has no box-shape test
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-9"])
+def test_rules_verify_cli_rejects_a_tolerance_outside_zero_to_infinity(
+        capsys, tmp_path, tolerance):
+    vocab = Vocabulary()
+    for name in ("r", "s"):
+        vocab.relation_id(name, arity=2, create=True)
+    vocab.entity_id("a", create=True)
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(init_params(vocab, 3, stream_rng(0, STREAM_INIT)), ckpt)
+    rules = write_lines(tmp_path / "rules.txt", ["hierarchy r s"])
+    code, out, err = run_main(capsys, [
+        "rules", "verify", "--rules", rules, "--checkpoint", str(ckpt),
+        f"--tolerance={tolerance}"])
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "tolerance" in err
+
+
 def test_rules_unknown_relation_name(capsys, data, tmp_path):
     outdir = data["tmp"] / "run"
     assert run_main(capsys, train_argv(data, outdir))[0] == 0

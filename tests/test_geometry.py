@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkb.geometry import (Box, center, contains, contains_box, grow_to_cover,
-                            intersect, width_plus_one)
+from boxkb.geometry import (Box, center, contains, contains_box, cover, gap,
+                            grow_to_cover, inside, intersect, meet, mismatch,
+                            overhang, width_plus_one, within)
 
 
 def boxes(dim=3, lo=-10.0, hi=10.0):
@@ -132,3 +133,65 @@ def test_containment_from_membership_of_corners(a):
     # a box contains itself, and containment agrees with corner membership
     assert contains_box(a, a)
     assert contains(a, a.lower) and contains(a, a.upper)
+
+
+# A few grid values make degenerate boxes, touching boxes and points on a
+# boundary common; the floats between them cover the general case.
+GRID = [-1.0, 0.0, 0.5, 1.0]
+
+
+def grid_values(n):
+    value = st.one_of(st.sampled_from(GRID), st.floats(-2.0, 2.0, allow_nan=False))
+    return st.lists(value, min_size=n, max_size=n).map(np.array)
+
+
+def stacked(draw, rows, dim):
+    """``rows`` random boxes as Box objects and as (lo, hi) (rows, dim) arrays."""
+    a = draw(grid_values(rows * dim)).reshape(rows, dim)
+    b = draw(grid_values(rows * dim)).reshape(rows, dim)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return [Box(lo[i], hi[i]) for i in range(rows)], (lo, hi)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_bound_array_predicates_agree_with_the_box_functions_row_by_row(data):
+    # the batched form capture, projection, box_stats and the distance run:
+    # one call over stacked boxes decides what the Box functions decide
+    # for each row on its own, and what plain float comparisons decide
+    rows = data.draw(st.integers(1, 5))
+    dim = data.draw(st.integers(1, 3))
+    (a, bounds_a), (b, bounds_b), (c, bounds_c) = (stacked(data.draw, rows, dim)
+                                                    for _ in range(3))
+    points = data.draw(grid_values(rows * dim)).reshape(rows, dim)
+    point_in = inside(*bounds_a, points).all(axis=-1)
+    nested = within(overhang(bounds_a, bounds_b))
+    equal = within(mismatch(bounds_a, bounds_b))
+    apart = (gap(bounds_a, bounds_b) > 0).any(axis=-1)
+    (two_lo, two_hi), two_empty = meet(*zip(bounds_a, bounds_b))
+    (three_lo, three_hi), three_empty = meet(*(np.stack(side) for side in
+                                               zip(bounds_a, bounds_b, bounds_c)))
+    grown_lo, grown_hi = cover(bounds_a, bounds_b)
+    for i in range(rows):
+        sides = list(zip(a[i].lower, a[i].upper, b[i].lower, b[i].upper))
+        assert point_in[i] == contains(a[i], points[i]) == all(
+            lo <= x <= hi for lo, hi, x in zip(a[i].lower, a[i].upper, points[i]))
+        assert nested[i] == contains_box(a[i], b[i]) == all(
+            alo <= blo and bhi <= ahi for alo, ahi, blo, bhi in sides)
+        assert equal[i] == (contains_box(a[i], b[i]) and contains_box(b[i], a[i]))
+        two = intersect(a[i], b[i])
+        assert two_empty[i] == apart[i] == (two is None) == any(
+            max(alo, blo) > min(ahi, bhi) for alo, ahi, blo, bhi in sides)
+        if two is not None:
+            assert np.array_equal(two_lo[i], two.lower)
+            assert np.array_equal(two_hi[i], two.upper)
+        three = None if two is None else intersect(two, c[i])
+        assert three_empty[i] == (three is None)
+        if three is not None:
+            assert np.array_equal(three_lo[i], three.lower)
+            assert np.array_equal(three_hi[i], three.upper)
+        grown = grow_to_cover(a[i], b[i])
+        assert np.array_equal(grown_lo[i], grown.lower)
+        assert np.array_equal(grown_hi[i], grown.upper)
+        assert grown_lo[i].tolist() == [min(alo, blo) for alo, _, blo, _ in sides]
+        assert grown_hi[i].tolist() == [max(ahi, bhi) for _, ahi, _, bhi in sides]

@@ -408,6 +408,20 @@ def test_capture_composition_unsupported():
         check_capture(p, Rule(COMPOSITION, (0, 1, 2)))
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-9])
+def test_capture_rejects_a_tolerance_outside_zero_to_infinity(tolerance):
+    # nan passes every excess test, so a random hierarchy would read as
+    # captured; a negative tolerance fails a contained hierarchy
+    p = make_params(bounded=False)
+    set_box(p, 0, 0, [0, 0, 0], [1, 1, 1])
+    set_box(p, 1, 0, [0, 0, 0], [1, 1, 1])
+    for form, rels in ((HIERARCHY, (0, 1)), (COMPOSITION, (0, 1, 2)),
+                       (EXCLUSION, (0, 1))):
+        with pytest.raises(RuleError, match="tolerance") as caught:
+            check_capture(p, Rule(form, rels), tolerance=tolerance)
+        assert type(caught.value) is RuleError
+
+
 def test_capture_uses_effective_boxes_when_bounded():
     # raw equality implies effective equality, but raw containment checks
     # would be wrong: verify capture agrees with tanh-mapped boxes
