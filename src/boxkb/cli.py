@@ -7,7 +7,10 @@ options come from defaults, then a flat ``key = value`` config file, then
 command-line flags (later wins); the effective config is echoed into the
 output directory so a run can be reproduced from it alone.
 
-Exit codes: 0 success, 1 configuration/input error, 2 training abort.
+Exit codes: 0 success; 1 configuration or input error, reported as exactly
+one ``error: <message>`` line on stderr; 2 training abort (an ``error:``
+line, then the diagnostic JSON as the last stderr line) or a usage error
+(unknown command or flag, unparsable flag value), which argparse reports.
 """
 from __future__ import annotations
 
@@ -29,8 +32,8 @@ from .kb import (FORMAT_NARY, FORMAT_TRIPLE, Fact, KBFormatError,
                  KnowledgeBase, Vocabulary, augment_inverses, parse_kb)
 from .model import init_params, load_checkpoint, save_checkpoint
 from .rules import (InconsistentRulesError, RuleError, UnsupportedRuleError,
-                    box_stats, check_capture, deductive_closure, inject,
-                    parse_rules)
+                    box_stats, check_capture, check_tolerance,
+                    deductive_closure, inject, parse_rules)
 from .training import (STREAM_INIT, TrainConfig, TrainingAbort, setting,
                        stream_rng, train_model)
 
@@ -156,10 +159,21 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_kb(cfg: RunConfig) -> KnowledgeBase:
-    for path in (cfg.train, cfg.valid, cfg.test):
+def _require(what: str, *paths: str) -> None:
+    """ConfigError naming the first of ``paths`` (empty ones skipped) that
+    does not exist."""
+    for path in paths:
         if path and not os.path.exists(path):
-            raise ConfigError(f"data file not found: {path}")
+            raise ConfigError(f"{what} not found: {path}")
+
+
+def _read_rules(path: str, vocab: Vocabulary, create_binary: bool = False):
+    _require("rule file", path)
+    return parse_rules(path, vocab, create_binary)
+
+
+def _load_kb(cfg: RunConfig) -> KnowledgeBase:
+    _require("data file", cfg.train, cfg.valid, cfg.test)
     kb = parse_kb(cfg.train, cfg.valid or None, cfg.test or None, fmt=cfg.format)
     if cfg.augment_inverses:
         kb = augment_inverses(kb)
@@ -189,8 +203,7 @@ def _remap_kb(kb: KnowledgeBase, vocab: Vocabulary) -> KnowledgeBase:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps(payload))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -198,16 +211,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not cfg.outdir:
         raise ConfigError("an output directory is required for training")
     kb = _load_kb(cfg)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     params = init_params(kb.vocab, cfg.d, stream_rng(cfg.seed, STREAM_INIT),
                          norm_order=cfg.norm_order, bounded=cfg.bounded)
     plan = None
     if cfg.rules:
-        rules = parse_rules(cfg.rules, kb.vocab)
+        rules = _read_rules(cfg.rules, kb.vocab)
         plan = inject(rules, params)
         log.info("injected %d rules (%d containments, initial growth %d)",
                  len(rules), len(plan.containments), plan.initial_growth)
+    # made only once every input is read and checked, so that a run which
+    # fails on its inputs leaves no directory behind
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_config_file(cfg, outdir / "config.txt")
     best = {"mrr": None, "epoch": None}
     best_path = outdir / "best.json"
@@ -243,7 +258,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params = _load_params(args.checkpoint)
     kb = _remap_kb(_load_kb(cfg), params.vocab)
     ks = _parse_ks(args.ks)
-    rankings = sum(f.arity for f in ranked_facts(kb, args.split))
+    facts = ranked_facts(kb, args.split)
+    if not facts:
+        raise ConfigError(f"the {args.split} split has no facts to rank")
+    rankings = sum(f.arity for f in facts)
     start = time.perf_counter()
     report = evaluate(params, kb, args.split, ks=ks, workers=cfg.workers)
     wall_s = time.perf_counter() - start
@@ -253,11 +271,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _load_params(path: str):
-    if not os.path.exists(path):
-        raise ConfigError(f"checkpoint not found: {path}")
+    _require("checkpoint", path)
     try:
         return load_checkpoint(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         raise ConfigError(f"cannot load checkpoint: {exc}") from exc
 
 
@@ -272,11 +289,9 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 
 
 def cmd_fit_exact(args: argparse.Namespace) -> int:
+    _require("truth table", args.table)
     table = parse_table(args.table)
-    try:
-        model = fit(table)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = fit(table)
     if args.out:
         save_checkpoint(model.params, args.out)
     _emit({"table_bits": table.n_facts, "flips": model.flips,
@@ -284,63 +299,50 @@ def cmd_fit_exact(args: argparse.Namespace) -> int:
     return 0 if model.exact else 1
 
 
-def _vocab_from_rule_file(path) -> Vocabulary:
-    """Standalone rule tooling: every mentioned relation, binary by default."""
+def cmd_rules_closure(args: argparse.Namespace) -> int:
     vocab = Vocabulary()
-    if not os.path.exists(path):
-        raise ConfigError(f"rule file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split("#", 1)[0].split()
-            for name in tokens[1:]:
-                vocab.relation_id(name, arity=2, create=True)
-    return vocab
+    rules = _read_rules(args.rules, vocab, create_binary=True)
+    closed = deductive_closure(rules)
+    _emit({"rules": [r.format(vocab) for r in rules],
+           "closure": [r.format(vocab) for r in closed]})
+    return 0
 
 
-def cmd_rules(args: argparse.Namespace) -> int:
-    if args.rules_command == "closure":
-        vocab = _vocab_from_rule_file(args.rules)
-        rules = parse_rules(args.rules, vocab)
-        closed = deductive_closure(rules)
-        _emit({"rules": [r.format(vocab) for r in rules],
-               "closure": [r.format(vocab) for r in closed]})
-        return 0
-    if args.rules_command == "verify":
-        params = _load_params(args.checkpoint)
-        rules = parse_rules(args.rules, params.vocab)
-        results = []
-        for rule in rules:
-            entry = {"rule": rule.format(params.vocab)}
-            try:
-                res = check_capture(params, rule, tolerance=args.tolerance)
-                entry["captured"] = res.captured
-                entry["witness"] = res.witness
-            except UnsupportedRuleError as exc:
-                entry["error"] = str(exc)
-            results.append(entry)
-        _emit({"results": results})
-        return 0
-    if args.rules_command == "inject-check":
-        vocab = _vocab_from_rule_file(args.rules)
-        rules = parse_rules(args.rules, vocab)
-        params = init_params(vocab, args.d, stream_rng(args.seed, STREAM_INIT))
+def cmd_rules_verify(args: argparse.Namespace) -> int:
+    check_tolerance(args.tolerance)
+    params = _load_params(args.checkpoint)
+    rules = _read_rules(args.rules, params.vocab)
+    results = []
+    for rule in rules:
+        entry = {"rule": rule.format(params.vocab)}
         try:
-            plan = inject(rules, params)
-        except InconsistentRulesError as exc:
-            _emit({"consistent": False, "conflict": {
-                "kind": exc.report.kind,
-                "message": exc.report.message,
-                "chain": [r.format(vocab) for r in exc.report.chain]}})
-            return 1
-        classes = len(set(plan.sharing.values())) if plan.sharing else 0
-        _emit({"consistent": True,
-               "rules": len(rules),
-               "closure_size": len(deductive_closure(rules)),
-               "sharing_classes": classes,
-               "containment_constraints": len(plan.containments),
-               "initial_growth": plan.initial_growth})
-        return 0
-    raise ConfigError(f"unknown rules subcommand {args.rules_command!r}")
+            entry.update(check_capture(params, rule, args.tolerance)._asdict())
+        except UnsupportedRuleError as exc:
+            entry["error"] = str(exc)
+        results.append(entry)
+    _emit({"results": results})
+    return 0
+
+
+def cmd_rules_inject_check(args: argparse.Namespace) -> int:
+    vocab = Vocabulary()
+    rules = _read_rules(args.rules, vocab, create_binary=True)
+    params = init_params(vocab, args.d, stream_rng(args.seed, STREAM_INIT))
+    try:
+        plan = inject(rules, params)
+    except InconsistentRulesError as exc:
+        _emit({"consistent": False, "conflict": {
+            "kind": exc.report.kind,
+            "message": exc.report.message,
+            "chain": [r.format(vocab) for r in exc.report.chain]}})
+        return 1
+    _emit({"consistent": True,
+           "rules": len(rules),
+           "closure_size": len(deductive_closure(rules)),
+           "sharing_classes": len(set(plan.sharing.values())),
+           "containment_constraints": len(plan.containments),
+           "initial_growth": plan.initial_growth})
+    return 0
 
 
 def cmd_box_stats(args: argparse.Namespace) -> int:
@@ -362,8 +364,19 @@ def _add_setting_flags(p: argparse.ArgumentParser, cls) -> None:
                        **typed, **f.metadata)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in scientific notation, such as ``-1e-3``, as
+    a value rather than an option; ``add_subparsers`` builds every
+    subparser with its parent's class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boxkb",
         description="Knowledge-base completion with box embeddings")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -388,16 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = p.add_subparsers(dest="rules_command", required=True)
     pc = rsub.add_parser("closure", help="print the deductive closure")
     pc.add_argument("--rules", required=True)
+    pc.set_defaults(func=cmd_rules_closure)
     pv = rsub.add_parser("verify", help="check capture of each rule")
     pv.add_argument("--rules", required=True)
     pv.add_argument("--checkpoint", required=True)
     pv.add_argument("--tolerance", type=float, default=1e-6)
+    pv.set_defaults(func=cmd_rules_verify)
     pi = rsub.add_parser("inject-check",
                          help="consistency check plus dry-run injection")
     pi.add_argument("--rules", required=True)
     pi.add_argument("--d", type=int, default=RunConfig.d)
     pi.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.set_defaults(func=cmd_rules)
+    pi.set_defaults(func=cmd_rules_inject_check)
 
     p = sub.add_parser("box-stats", help="box shape report for a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -415,17 +430,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except TrainingAbort as exc:
-        log.error("%s", exc)
-        json.dump(exc.diagnostic, sys.stderr)
-        sys.stderr.write("\n")
+        print(f"error: {exc}", file=sys.stderr)
+        print(json.dumps(exc.diagnostic), file=sys.stderr)
         return 2
     except (ConfigError, KBFormatError, RuleError, TableFormatError,
-            ExactFitError) as exc:
-        log.error("%s", exc)
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+            ExactFitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

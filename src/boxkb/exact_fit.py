@@ -44,7 +44,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .geometry import inside
-from .kb import Fact, Vocabulary
+from .kb import Fact, Vocabulary, iter_tokens
 from .model import _TABLES, ModelParams, final_embedding, fresh_slots
 
 PAD_ENTITY = 0  # fills the positions past a relation's arity
@@ -99,61 +99,56 @@ def parse_table(path) -> TruthTable:
     vocab = Vocabulary()
     truth: dict[tuple, bool] = {}
     saw_entities = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            tokens = text.split()
-            if tokens[0] == "entities":
-                if saw_entities:
-                    raise TableFormatError(f"{path}:{lineno}: duplicate entities line")
-                if len(tokens) < 2:
-                    raise TableFormatError(f"{path}:{lineno}: no entities listed")
-                for name in tokens[1:]:
-                    if name in vocab.entity_names:
-                        raise TableFormatError(
-                            f"{path}:{lineno}: duplicate entity {name!r}")
-                    vocab.entity_id(name, create=True)
-                saw_entities = True
-            elif tokens[0] == "relation":
-                if len(tokens) != 3:
+    for lineno, tokens in iter_tokens(path):
+        if tokens[0] == "entities":
+            if saw_entities:
+                raise TableFormatError(f"{path}:{lineno}: duplicate entities line")
+            if len(tokens) < 2:
+                raise TableFormatError(f"{path}:{lineno}: no entities listed")
+            for name in tokens[1:]:
+                if name in vocab.entity_names:
                     raise TableFormatError(
-                        f"{path}:{lineno}: expected 'relation <name> <arity>'")
-                try:
-                    arity = int(tokens[2])
-                except ValueError:
-                    raise TableFormatError(f"{path}:{lineno}: arity must be an integer")
-                if arity < 1:
-                    raise TableFormatError(f"{path}:{lineno}: arity must be at least 1")
-                if tokens[1] in vocab.relation_names:
-                    raise TableFormatError(f"{path}:{lineno}: duplicate relation line")
-                vocab.relation_id(tokens[1], arity=arity, create=True)
-            else:
-                if not saw_entities:
-                    raise TableFormatError(
-                        f"{path}:{lineno}: entities line must come first")
-                try:
-                    rel = vocab.relation_id(tokens[0])
-                except KeyError:
-                    raise TableFormatError(
-                        f"{path}:{lineno}: unknown relation {tokens[0]!r}")
-                arity = vocab.arity(rel)
-                if len(tokens) != arity + 2:
-                    raise TableFormatError(
-                        f"{path}:{lineno}: expected {arity} entities and a label")
-                try:
-                    ents = tuple(vocab.entity_id(n) for n in tokens[1:-1])
-                except KeyError as exc:  # str() of a KeyError quotes its message
-                    raise TableFormatError(f"{path}:{lineno}: {exc.args[0]}")
-                label = tokens[-1].lower()
-                if label not in ("0", "1", "true", "false"):
-                    raise TableFormatError(
-                        f"{path}:{lineno}: label must be 0/1/true/false")
-                key = (rel, *ents)
-                if key in truth:
-                    raise TableFormatError(f"{path}:{lineno}: duplicate fact entry")
-                truth[key] = label in ("1", "true")
+                        f"{path}:{lineno}: duplicate entity {name!r}")
+                vocab.entity_id(name, create=True)
+            saw_entities = True
+        elif tokens[0] == "relation":
+            if len(tokens) != 3:
+                raise TableFormatError(
+                    f"{path}:{lineno}: expected 'relation <name> <arity>'")
+            try:
+                arity = int(tokens[2])
+            except ValueError:
+                raise TableFormatError(f"{path}:{lineno}: arity must be an integer")
+            if arity < 1:
+                raise TableFormatError(f"{path}:{lineno}: arity must be at least 1")
+            if tokens[1] in vocab.relation_names:
+                raise TableFormatError(f"{path}:{lineno}: duplicate relation line")
+            vocab.relation_id(tokens[1], arity=arity, create=True)
+        else:
+            if not saw_entities:
+                raise TableFormatError(
+                    f"{path}:{lineno}: entities line must come first")
+            try:
+                rel = vocab.relation_id(tokens[0])
+            except KeyError:
+                raise TableFormatError(
+                    f"{path}:{lineno}: unknown relation {tokens[0]!r}")
+            arity = vocab.arity(rel)
+            if len(tokens) != arity + 2:
+                raise TableFormatError(
+                    f"{path}:{lineno}: expected {arity} entities and a label")
+            try:
+                ents = tuple(vocab.entity_id(n) for n in tokens[1:-1])
+            except KeyError as exc:  # str() of a KeyError quotes its message
+                raise TableFormatError(f"{path}:{lineno}: {exc.args[0]}")
+            label = tokens[-1].lower()
+            if label not in ("0", "1", "true", "false"):
+                raise TableFormatError(
+                    f"{path}:{lineno}: label must be 0/1/true/false")
+            key = (rel, *ents)
+            if key in truth:
+                raise TableFormatError(f"{path}:{lineno}: duplicate fact entry")
+            truth[key] = label in ("1", "true")
     try:
         return TruthTable(vocab, truth)
     except TableFormatError as exc:
@@ -357,7 +352,7 @@ def fit(table: TruthTable) -> ExactFitModel:
     """Build a model classifying ``table`` exactly (flip each false entry)."""
     n_max = max(table.vocab.relation_arities, default=0)
     if n_max < 2:
-        raise ValueError(
+        raise TableFormatError(
             "exact fitting requires at least one relation of arity > 1")
     model = build_all_true(table.vocab)
     for key in sorted(table.truth):

@@ -159,6 +159,16 @@ def _iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def iter_tokens(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The whitespace tokens of each line of a rule or table file, numbered
+    from 1; ``#`` starts a comment, and lines left empty are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split("#", 1)[0].split()
+            if tokens:
+                yield lineno, tokens
+
+
 def _load_split(path: str | Path | None, fmt: str, vocab: Vocabulary, seen: set[Fact],
                 split_name: str) -> tuple[Fact, ...]:
     if path is None:

@@ -40,7 +40,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .geometry import cover, gap, meet, mismatch, overhang, within
-from .kb import Vocabulary
+from .kb import Vocabulary, iter_tokens
 from .model import ModelParams
 
 SYMMETRY = "symmetry"
@@ -116,29 +116,28 @@ class Rule:
         return self.format()
 
 
-def parse_rules(path, vocab: Vocabulary) -> list[Rule]:
-    """One rule per line; relations given by name.  Errors carry line numbers."""
+def parse_rules(path, vocab: Vocabulary, create_binary: bool = False
+                ) -> list[Rule]:
+    """One rule per line; relations given by name.  Errors carry line numbers.
+    With ``create_binary``, a name ``vocab`` lacks is added to it as a binary
+    relation, as the standalone rule tools have no dataset to name them."""
     rules = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            tokens = text.split()
-            form, names = tokens[0], tokens[1:]
-            try:
-                rel_ids = tuple(vocab.relation_id(n) for n in names)
-                rule = Rule(form, rel_ids)
-            except (KeyError, RuleError) as exc:
-                raise RuleParseError(f"{path}:{lineno}: {exc}") from exc
-            arities = {vocab.arity(r) for r in rule.relations}
-            if len(arities) > 1:
-                raise RuleParseError(
-                    f"{path}:{lineno}: relations of mixed arity in one rule")
-            if arities != {2} and form not in (HIERARCHY, INTERSECTION, EXCLUSION):
-                raise RuleParseError(
-                    f"{path}:{lineno}: {form} is only defined for binary relations")
-            rules.append(rule)
+    arity = 2 if create_binary else None
+    for lineno, (form, *names) in iter_tokens(path):
+        try:
+            rel_ids = tuple(vocab.relation_id(n, arity, create_binary)
+                            for n in names)
+            rule = Rule(form, rel_ids)
+        except (KeyError, RuleError) as exc:
+            raise RuleParseError(f"{path}:{lineno}: {exc}") from exc
+        arities = {vocab.arity(r) for r in rule.relations}
+        if len(arities) > 1:
+            raise RuleParseError(
+                f"{path}:{lineno}: relations of mixed arity in one rule")
+        if arities != {2} and form not in (HIERARCHY, INTERSECTION, EXCLUSION):
+            raise RuleParseError(
+                f"{path}:{lineno}: {form} is only defined for binary relations")
+        rules.append(rule)
     return rules
 
 
@@ -225,10 +224,9 @@ class ConflictReport:
     message: str
     chain: list[Rule] = field(default_factory=list)
 
-    def __str__(self) -> str:
-        lines = [f"inconsistent rules ({self.kind}): {self.message}"]
-        lines += [f"  via: {r}" for r in self.chain]
-        return "\n".join(lines)
+    def __str__(self) -> str:  # one line, as the CLI reports it
+        via = "".join(f"; via {r}" for r in self.chain)
+        return f"inconsistent rules ({self.kind}): {self.message}{via}"
 
 
 def _merge_path(adj: dict, start, goal) -> list[Rule]:
@@ -362,6 +360,13 @@ def _disjoint_dim(gap: np.ndarray, tol: float) -> int | None:
     return j if gap[j] > threshold else None
 
 
+def check_tolerance(tolerance: float) -> None:
+    """RuleError unless ``tolerance`` is a finite number >= 0: a nan would
+    pass every excess test, a negative one fail exact containment."""
+    if not 0 <= tolerance < np.inf:
+        raise RuleError(f"tolerance is {tolerance!r}, not a finite number >= 0")
+
+
 def check_capture(params: ModelParams, rule: Rule, tolerance: float = 0.0
                   ) -> CaptureResult:
     """Does the geometric sufficient condition for ``rule`` hold in ``params``?
@@ -369,12 +374,9 @@ def check_capture(params: ModelParams, rule: Rule, tolerance: float = 0.0
     Positions and dimensions in witnesses are 0-based.  For exclusion the
     witness reports the position/dimension establishing disjointness on
     success; for all other forms the witness describes the first violation
-    on failure.  ``tolerance`` must be a finite number >= 0 (else
-    RuleError): a nan would pass every excess test, a negative one fail
-    exact containment.
+    on failure.  ``tolerance`` must pass ``check_tolerance``.
     """
-    if not 0 <= tolerance < np.inf:
-        raise RuleError(f"tolerance is {tolerance!r}, not a finite number >= 0")
+    check_tolerance(tolerance)
     form, rels = rule.form, rule.relations
     if form == COMPOSITION:
         raise UnsupportedRuleError(

@@ -3,6 +3,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from boxkb.cli import (ConfigError, DataConfig, RunConfig, build_parser,
                        load_run_config, main, parse_config_file,
                        write_config_file)
 from boxkb.exact_fit import ExactFitError
-from boxkb.kb import Vocabulary
+from boxkb.kb import Vocabulary, parse_kb
 from boxkb.model import init_params, load_checkpoint, save_checkpoint
 from boxkb.training import STREAM_INIT, stream_rng
 
@@ -641,3 +645,135 @@ def test_help_and_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- one error contract --
+
+
+@pytest.fixture
+def inputs(data):
+    """One valid input file of each kind, plus a path that does not exist."""
+    tmp = data["tmp"]
+    vocab = parse_kb(data["train"]).vocab
+    ckpt = tmp / "model.json"
+    save_checkpoint(init_params(vocab, 3, stream_rng(0, STREAM_INIT)), ckpt)
+    bad_ckpt = tmp / "bad_header.json"
+    bad_ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()),
+                                    "norm_order": 3}))
+    return {**data, "ckpt": str(ckpt), "bad_ckpt": str(bad_ckpt),
+            "missing": str(tmp / "missing.txt"),
+            "rules": write_lines(tmp / "rules.txt", ["symmetry knows"]),
+            "bad_rules": write_lines(tmp / "bad.rules", ["hierarchy knows"]),
+            "bad_table": write_lines(tmp / "bad.table", [
+                "entities a b", "relation r 2", "r a 1"]),
+            "bad_config": write_lines(tmp / "bad.cfg", ["bogus = 1"]),
+            "outdir": str(tmp / "out")}
+
+
+# (argv template, the start of the error message); {name} is an inputs entry
+BAD_INPUTS = {
+    "train data file": (
+        "train --train {missing} --outdir {outdir}", "data file not found: "),
+    "eval data file": (
+        "eval --checkpoint {ckpt} --train {train} --test {missing}",
+        "data file not found: "),
+    "checkpoint": ("box-stats --checkpoint {missing}", "checkpoint not found: "),
+    "train rule file": (
+        "train --train {train} --rules {missing} --outdir {outdir}",
+        "rule file not found: "),
+    "rules closure rule file": ("rules closure --rules {missing}",
+                                "rule file not found: "),
+    "rules verify rule file": (
+        "rules verify --rules {missing} --checkpoint {ckpt}",
+        "rule file not found: "),
+    "rules inject-check rule file": ("rules inject-check --rules {missing}",
+                                     "rule file not found: "),
+    "truth table": ("fit-exact {missing}", "truth table not found: "),
+    "checkpoint header": ("box-stats --checkpoint {bad_ckpt}",
+                          "cannot load checkpoint: "),
+    "rule line": ("rules closure --rules {bad_rules}",
+                  "{bad_rules}:1: hierarchy takes 2 relation(s), got 1"),
+    "table line": ("fit-exact {bad_table}",
+                   "{bad_table}:3: expected 2 entities and a label"),
+    "config key": ("train --config {bad_config} --train {train} "
+                   "--outdir {outdir}", "unknown config key 'bogus'"),
+    "Hits@K list": ("eval --checkpoint {ckpt} --train {train} --ks 1,zero",
+                    "bad Hits@K list"),
+    "empty split": ("eval --checkpoint {ckpt} --train {train} --split test",
+                    "the test split has no facts to rank"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_each_bad_input_is_exactly_one_error_line(capsys, inputs, case):
+    template, message = BAD_INPUTS[case]
+    argv = [word.format(**inputs) for word in template.split()]
+    message = message.format(**inputs)
+    code, out, err = run_main(capsys, argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: " + message), err
+    if "not found" in message:
+        assert err == f"error: {message}{inputs['missing']}\n"
+    # no input error leaves an output directory behind
+    assert not (inputs["tmp"] / "out").exists()
+
+
+def test_train_with_conflicting_rules_leaves_no_output_directory(capsys, data):
+    rules = write_lines(data["tmp"] / "rules.txt",
+                        ["symmetry knows", "antisymmetry knows"])
+    outdir = data["tmp"] / "out"
+    code, out, err = run_main(capsys, train_argv(data, outdir,
+                                                 extra=["--rules", rules]))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not outdir.exists()
+
+
+def test_train_abort_is_one_error_line_then_the_diagnostic(capsys, data):
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_main(capsys, train_argv(
+            data, data["tmp"] / "boom",
+            extra=["--no-bounded", "--learning-rate", "1e200",
+                   "--batch-size", "4"]))
+    assert code == 2 and out == ""
+    first, last = err.splitlines()
+    assert first == "error: non-finite loss; training aborted"
+    assert json.loads(last)["epoch"] == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("train --train {train} --outdir {outdir} --margin -1e-3",
+     "error: margin must be positive\n"),
+    ("rules verify --rules {rules} --checkpoint {ckpt} --tolerance -1e-9",
+     "error: tolerance is -1e-09, not a finite number >= 0\n"),
+    ("rules verify --rules {rules} --checkpoint {ckpt} --tolerance -2.5E+3",
+     "error: tolerance is -2500.0, not a finite number >= 0\n"),
+], ids=["margin", "tolerance", "tolerance-capital-e"])
+def test_negative_numbers_in_scientific_notation_are_values(
+        capsys, inputs, argv, message):
+    code, out, err = run_main(capsys, [w.format(**inputs) for w in argv.split()])
+    assert (code, out, err) == (1, "", message)
+
+
+def test_rules_verify_checks_the_tolerance_with_no_rules(capsys, inputs):
+    empty = write_lines(inputs["tmp"] / "empty.rules", ["# no rules"])
+    code, out, err = run_main(capsys, [
+        "rules", "verify", "--rules", empty, "--checkpoint", inputs["ckpt"],
+        "--tolerance", "nan"])
+    assert (code, out) == (1, "")
+    assert err == "error: tolerance is nan, not a finite number >= 0\n"
+
+
+def test_error_line_is_all_of_stderr_from_a_fresh_process(inputs):
+    # in process, the test runner captures log records before they reach
+    # stderr; a fresh interpreter shows any log echo of the error
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxkb.cli", "box-stats",
+         "--checkpoint", inputs["missing"]],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: checkpoint not found: {inputs['missing']}\n"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from boxkb.kb import (FORMAT_NARY, FORMAT_TRIPLE, Fact, KBFormatError,
                       KnowledgeBase, Vocabulary, augment_inverses, corrupt,
-                      fact_index, parse_kb, write_split)
+                      fact_index, iter_tokens, parse_kb, write_split)
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
 
@@ -86,6 +86,15 @@ def test_parse_rejects_unknown_format(tmp_path):
     write(train, ["a\tr\tb"])
     with pytest.raises(KBFormatError, match="format"):
         parse_kb(train, fmt="csv")
+
+
+def test_iter_tokens_drops_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "rules.txt"
+    write(path, ["# header", "symmetry r", "", "  hierarchy  r\ts # tail",
+                 "   # indented comment", "entities a#b"])
+    assert list(iter_tokens(path)) == [(2, ["symmetry", "r"]),
+                                       (4, ["hierarchy", "r", "s"]),
+                                       (6, ["entities", "a"])]
 
 
 def test_write_split_round_trip(tmp_path):

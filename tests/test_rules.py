@@ -175,6 +175,19 @@ def test_parse_rules_rejects_mixed_arity(tmp_path):
         parse_rules(path, v)
 
 
+def test_parse_rules_can_add_unknown_names_as_binary_relations(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("hierarchy s r  # s first\n\nsymmetry t\nhierarchy r t\n")
+    with pytest.raises(RuleParseError, match="unknown relation"):
+        parse_rules(path, Vocabulary())
+    v = Vocabulary()
+    rules = parse_rules(path, v, create_binary=True)
+    assert v.relation_names == ["s", "r", "t"]
+    assert v.relation_arities == [2, 2, 2]
+    assert rules == [Rule(HIERARCHY, (0, 1)), Rule(SYMMETRY, (2,)),
+                     Rule(HIERARCHY, (1, 2))]
+
+
 # -- deductive closure --------------------------------------------------------------
 
 def test_closure_empty_and_passthrough():
