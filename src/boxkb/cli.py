@@ -184,7 +184,8 @@ def _remap_kb(kb: KnowledgeBase, vocab: Vocabulary) -> KnowledgeBase:
     """Re-index facts into a checkpoint's vocabulary (ids may differ)."""
     def remap(fact: Fact) -> Fact:
         try:
-            rel = vocab.relation_id(kb.vocab.relation_names[fact.relation])
+            rel = vocab.relation_id(kb.vocab.relation_names[fact.relation],
+                                    arity=fact.arity)
             ents = tuple(vocab.entity_id(kb.vocab.entity_names[e])
                          for e in fact.entities)
         except KeyError as exc:

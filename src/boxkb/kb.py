@@ -140,6 +140,8 @@ class KnowledgeBase:
 
 def _parse_fact_line(line: str, fmt: str, lineno: int, path: str) -> tuple[str, list[str]]:
     cols = line.split("\t")
+    if "" in cols:
+        raise KBFormatError(f"{path}:{lineno}: empty column {cols.index('') + 1}")
     if fmt == FORMAT_TRIPLE:
         if len(cols) != 3:
             raise KBFormatError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(cols)}")

@@ -45,10 +45,13 @@ from .geometry import Box, inside
 from .kb import Fact, Vocabulary
 
 CHECKPOINT_VERSION = 2
-# The parameter tables a version 2 checkpoint stores, as ModelParams attributes.
-_TABLES = ("entity_base", "entity_bump", "box_a", "box_b")
+# Each gradient kind's parameter table, as a ModelParams attribute; a version 2
+# checkpoint stores the tables in this order.
+TABLE_OF_KIND = {"base": "entity_base", "bump": "entity_bump",
+                 "boxa": "box_a", "boxb": "box_b"}
+_TABLES = tuple(TABLE_OF_KIND.values())
 
-# Gradient slot keys: ("base", entity), ("bump", entity), ("boxa", slot), ("boxb", slot)
+# Gradient slot keys: (kind, row), a row of the kind's table
 SlotKey = tuple[str, int]
 GradMap = dict[SlotKey, np.ndarray]
 
@@ -247,8 +250,12 @@ def _final_points(params: ModelParams, operands, base_less_bump=None):
         yield np.tanh(pts, out=pts) if params.bounded else pts
 
 
-def _box_tensors(params: ModelParams, relation: int):
+def _box_tensors(params: ModelParams, relation: int, n_positions: int):
+    """The boxes of ``relation`` for rows of ``n_positions`` entities, or
+    ValueError unless that is the relation's arity: every scorer calls this."""
     slots = params.slot_of[relation]
+    if n_positions != len(slots):
+        raise ValueError("fact arity does not match relation arity")
     lo, hi = params.effective_bounds(slots)
     return (slots, lo, hi, *_box_shape(lo, hi))
 
@@ -283,7 +290,7 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
     """Scores of a batch of same-relation facts given as a (B, n) id array,
     formed one ``row_blocks`` block of rows at a time."""
     ents = np.asarray(ents, dtype=np.int64)
-    box = _box_tensors(params, relation)
+    box = _box_tensors(params, relation, ents.shape[1])
     # one allocation for every position: n separate (B, d) arrays of a large
     # batch go back to the system when freed and fault in again next call
     points = np.empty((ents.shape[1], ents.shape[0], params.d))
@@ -309,7 +316,7 @@ def score_candidates(params: ModelParams, relation: int, entities, position: int
     broadcasts, one ``row_blocks`` block and one position at a time, never
     an (E, n, d) gather nor even a whole (E, d) array.
     """
-    box = _box_tensors(params, relation)
+    box = _box_tensors(params, relation, len(entities))
     total = np.zeros(params.entity_base.shape[0], dtype=np.float64)
     for blk in row_blocks(total.shape[0], 8 * params.d):
         operands = [blk if q == position else int(e) for q, e in enumerate(entities)]
@@ -326,8 +333,6 @@ def score_batch(params: ModelParams, relation: int, ents: np.ndarray) -> np.ndar
 
 def score(params: ModelParams, fact: Fact) -> float:
     """Plausibility score of one fact; lower is better."""
-    if len(fact.entities) != params.vocab.arity(fact.relation):
-        raise ValueError("fact arity does not match relation arity")
     return float(score_batch(params, fact.relation, np.array([fact.entities]))[0])
 
 
@@ -369,7 +374,7 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
     weights = np.asarray(weights, dtype=np.float64)
     ents = cache.ents
     B, n = ents.shape
-    slots, lo, hi, c, w, kappa = _box_tensors(params, cache.relation)
+    slots, lo, hi, c, w, kappa = _box_tensors(params, cache.relation, n)
     g_raw = np.empty((B, n, params.d), dtype=np.float64)
     for p, x in enumerate(cache.points):
         dv, z, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],

@@ -73,8 +73,8 @@ class UnsupportedRuleError(RuleError):
 
 
 class InconsistentRulesError(RuleError):
-    def __init__(self, report: "ConflictReport"):
-        super().__init__(str(report))
+    def __init__(self, report: "ConflictReport", vocab: Vocabulary | None = None):
+        super().__init__(report.format(vocab))
         self.report = report
 
 
@@ -224,9 +224,14 @@ class ConflictReport:
     message: str
     chain: list[Rule] = field(default_factory=list)
 
-    def __str__(self) -> str:  # one line, as the CLI reports it
-        via = "".join(f"; via {r}" for r in self.chain)
+    def format(self, vocab: Vocabulary | None = None) -> str:
+        """One line, as the CLI reports it; ``vocab`` names the chain's
+        relations, as in ``Rule.format``."""
+        via = "".join(f"; via {r.format(vocab)}" for r in self.chain)
         return f"inconsistent rules ({self.kind}): {self.message}{via}"
+
+    def __str__(self) -> str:
+        return self.format()
 
 
 def _merge_path(adj: dict, start, goal) -> list[Rule]:
@@ -438,7 +443,7 @@ def inject(rules: list[Rule], params: ModelParams) -> InjectionPlan:
     """
     report = check_consistency(rules, params.vocab)
     if report is not None:
-        raise InconsistentRulesError(report)
+        raise InconsistentRulesError(report, params.vocab)
     bad = sorted({r.form for r in rules if r.form not in INJECTABLE_FORMS})
     if bad:
         raise UnsupportedRuleError(
@@ -451,18 +456,13 @@ def inject(rules: list[Rule], params: ModelParams) -> InjectionPlan:
     pairs = [(int(params.slot_of[a[0]][a[1]]), int(params.slot_of[b[0]][b[1]]))
              for a, b, _ in _sharing_edges(rules)]
     sharing = params.merge_slots(pairs)
-    containments = []
-    seen = set()
-    for body, head in _horn_theory(rules):
-        for p in range(n_positions):
-            body_slots = tuple(sorted(int(params.slot_of[r][p]) for r in body))
-            head_slot = int(params.slot_of[head][p])
-            if head_slot in body_slots:
-                continue  # shared slots make this constraint trivially true
-            key = (body_slots, head_slot)
-            if key not in seen:
-                seen.add(key)
-                containments.append((np.array(body_slots, dtype=np.int64), head_slot))
+    # (sorted body slots, head slot) keys, each once, in first-seen order
+    keys = dict.fromkeys(
+        (tuple(sorted(int(params.slot_of[r][p]) for r in body)), int(params.slot_of[head][p]))
+        for body, head in _horn_theory(rules) for p in range(n_positions))
+    # a head slot shared with its body makes the constraint trivially true
+    containments = [(np.array(body, dtype=np.int64), head)
+                    for body, head in keys if head not in body]
     plan = InjectionPlan(sharing, containments)
     plan.initial_growth = apply_projection(params, plan)
     return plan

@@ -34,7 +34,8 @@ from scipy.special import expit, softmax
 
 from . import rules  # rules.apply_projection is looked up per call, so a wrapper sees it
 from .kb import Fact, KnowledgeBase, Vocabulary, group_by_relation, known_rows
-from .model import GradBuffer, GradMap, ModelParams, SlotKey, backward, forward, score
+from .model import (TABLE_OF_KIND, GradBuffer, GradMap, ModelParams, SlotKey, backward,
+                    forward, score)
 
 STREAM_INIT = 1
 STREAM_NEGATIVES = 2
@@ -110,17 +111,6 @@ class AdamMoments:
     steps: np.ndarray  # (rows,) int64
 
 
-class _SlotSteps:
-    """Read-only ``steps[(kind, row)]`` view of the per-row step counters."""
-
-    def __init__(self, tables: dict[str, AdamMoments]):
-        self._tables = tables
-
-    def __getitem__(self, key: SlotKey) -> int:
-        kind, row = key
-        return int(self._tables[kind].steps[row])
-
-
 @dataclass
 class OptimizerState:
     """Sparse Adam: moments and step counters advance only for touched rows.
@@ -130,8 +120,10 @@ class OptimizerState:
     tables: dict[str, AdamMoments] = field(default_factory=dict)
 
     @property
-    def steps(self) -> _SlotSteps:
-        return _SlotSteps(self.tables)
+    def steps(self) -> dict[SlotKey, int]:
+        """The step count of every row of each allocated table."""
+        return {(kind, row): t for kind, state in self.tables.items()
+                for row, t in enumerate(state.steps.tolist())}
 
 
 def _grad_rows(gradients: GradBuffer | GradMap):
@@ -151,10 +143,8 @@ def _grad_rows(gradients: GradBuffer | GradMap):
 def adam_update(opt: OptimizerState, params: ModelParams,
                 gradients: GradBuffer | GradMap, learning_rate: float) -> None:
     """One Adam step over exactly the slots present in ``gradients``."""
-    arrays = {"base": params.entity_base, "bump": params.entity_bump,
-              "boxa": params.box_a, "boxb": params.box_b}
     for kind, rows, g in _grad_rows(gradients):
-        param = arrays[kind]
+        param = getattr(params, TABLE_OF_KIND[kind])
         state = opt.tables.get(kind)
         if state is None:
             state = opt.tables[kind] = AdamMoments(

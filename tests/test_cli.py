@@ -730,6 +730,28 @@ def test_train_with_conflicting_rules_leaves_no_output_directory(capsys, data):
     assert not outdir.exists()
 
 
+def test_train_conflict_names_its_chain_by_relation_name(capsys, data):
+    rules = write_lines(data["tmp"] / "rules.txt",
+                        ["symmetry knows", "antisymmetry knows"])
+    code, out, err = run_main(capsys, train_argv(data, data["tmp"] / "out",
+                                                 extra=["--rules", rules]))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: inconsistent rules (symmetry-vs-antisymmetry): ")
+    assert err.endswith("; via symmetry knows; via antisymmetry knows\n"), err
+
+
+def test_eval_rejects_data_facts_of_another_arity(capsys, tmp_path):
+    ckpt = tmp_path / "ternary.json"
+    vocab = Vocabulary(["a", "b", "c"], ["r"], [3])
+    save_checkpoint(init_params(vocab, 3, stream_rng(0, STREAM_INIT)), ckpt)
+    binary = write_lines(tmp_path / "binary.tsv", ["a\tr\tb", "b\tr\tc"])
+    code, out, err = run_main(capsys, ["eval", "--checkpoint", str(ckpt),
+                                       "--train", binary, "--split", "train"])
+    assert (code, out) == (1, "")
+    assert err == ("error: relation 'r' used with arity 2, "
+                   "previously seen with arity 3\n")
+
+
 def test_train_abort_is_one_error_line_then_the_diagnostic(capsys, data):
     with pytest.warns(RuntimeWarning):
         code, out, err = run_main(capsys, train_argv(

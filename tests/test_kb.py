@@ -242,3 +242,19 @@ def test_parse_write_round_trip_property(tmp_path_factory, triples):
     out = tmp / "out.tsv"
     write_split(kb, "train", out)
     assert parse_kb(out).train == kb.train
+
+
+@pytest.mark.parametrize("fmt,line,column", [
+    (FORMAT_TRIPLE, "a\tr\t", 3),
+    (FORMAT_TRIPLE, "a\t\tb", 2),
+    (FORMAT_NARY, "r\ta\tb\t", 4),
+    (FORMAT_NARY, "r\ta\t\tb", 3),
+], ids=["triple-trailing-tab", "triple-doubled-tab", "nary-trailing-tab",
+        "nary-doubled-tab"])
+def test_an_empty_column_is_an_error(tmp_path, fmt, line, column):
+    first = "a\tr\tb" if fmt == FORMAT_TRIPLE else "r\ta\tb"
+    path = tmp_path / "train.tsv"
+    path.write_text(f"{first}\n{line}\n", encoding="utf-8")
+    with pytest.raises(KBFormatError) as exc:
+        parse_kb(path, fmt=fmt)
+    assert str(exc.value) == f"{path}:2: empty column {column}"

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxkb import model
+from boxkb.evaluation import evaluate, rank_fact
 from boxkb.geometry import Box
-from boxkb.kb import Fact, Vocabulary
+from boxkb.kb import Fact, KnowledgeBase, Vocabulary
 from boxkb.model import (GradBuffer, GradMap, ModelParams, backward, bound, dist,
                          final_embedding, forward, init_params, load_checkpoint,
                          row_blocks, save_checkpoint, score, score_batch,
@@ -174,6 +175,31 @@ def test_score_rejects_arity_mismatch():
     p = make_params(arities=(2,))
     with pytest.raises(ValueError):
         score(p, Fact(0, (0, 1, 2)))
+
+
+SCORERS = {
+    "score": lambda p, kb, f: score(p, f),
+    "score_batch": lambda p, kb, f: score_batch(p, f.relation, np.array([f.entities])),
+    "score_gradient": lambda p, kb, f: score_gradient(p, f),
+    "score_candidates": lambda p, kb, f: score_candidates(
+        p, f.relation, f.entities, 0, p.entity_base - p.entity_bump),
+    "rank_fact": lambda p, kb, f: rank_fact(p, kb, f, 0, True),
+    "evaluate": lambda p, kb, f: evaluate(p, kb, "test"),
+}
+
+
+@pytest.mark.parametrize("entities", [(0,), (0, 1, 2)], ids=["short", "long"])
+@pytest.mark.parametrize("scorer", list(SCORERS))
+def test_every_scorer_rejects_a_row_of_another_arity(scorer, entities):
+    p = make_params(arities=(2,))
+
+    def run(fact):
+        kb = KnowledgeBase(p.vocab, (), (), (fact,), frozenset([fact]), 1)
+        return SCORERS[scorer](p, kb, fact)
+
+    run(Fact(0, (0, 1)))  # the relation's own arity scores
+    with pytest.raises(ValueError, match="^fact arity does not match relation arity$"):
+        run(Fact(0, entities))
 
 
 def test_score_zero_when_all_finals_at_box_centers():

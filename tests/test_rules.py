@@ -681,6 +681,49 @@ def test_input_containments_project_like_the_closure(arity, bounded):
     assert fewer > 20 and grew > 100
 
 
+def seen_set_containments(rules, params):
+    """Containments as ``inject`` built them with a ``seen`` set beside the
+    list, from ``params`` after its slots are merged; also the number of
+    trivial and of repeated keys it skipped."""
+    n_positions = max({params.vocab.arity(rel) for r in rules
+                       for rel in r.relations}, default=2)
+    containments = []
+    seen = set()
+    trivial = repeated = 0
+    for body, head in _horn_theory(rules):
+        for p in range(n_positions):
+            body_slots = tuple(sorted(int(params.slot_of[r][p]) for r in body))
+            head_slot = int(params.slot_of[head][p])
+            if head_slot in body_slots:
+                trivial += 1
+                continue  # shared slots make this constraint trivially true
+            key = (body_slots, head_slot)
+            if key not in seen:
+                seen.add(key)
+                containments.append((np.array(body_slots, dtype=np.int64), head_slot))
+            else:
+                repeated += 1
+    return containments, trivial, repeated
+
+
+def test_inject_containments_equal_the_seen_set_loop():
+    trivial = repeated = 0
+    for seed in range(240):
+        rng = np.random.default_rng([seed, 17])
+        n_rel = int(rng.integers(3, 7))
+        rules = random_injectable_rules(rng, n_rel, int(rng.integers(1, 11)))
+        p = init_params(rule_vocab(n_rel, 2 + seed % 2), 2, rng)
+        got = inject(rules, p).containments
+        want, t, r = seen_set_containments(rules, p)
+        trivial, repeated = trivial + t, repeated + r
+        assert len(got) == len(want), rules
+        for (body, head), (want_body, want_head) in zip(got, want):
+            assert body.dtype == want_body.dtype and body.tolist() == want_body.tolist()
+            assert type(head) is type(want_head) and head == want_head
+    # the sets exercise both skips
+    assert trivial > 50 and repeated > 50, (trivial, repeated)
+
+
 def test_hierarchy_ontology_injects_one_containment_per_rule_position():
     kb, rules = hierarchy_ontology_kb(n_entities=20, leaf_facts=4,
                                       ancestor_facts=2, seed=0)

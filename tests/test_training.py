@@ -145,6 +145,17 @@ def test_adam_matches_scalar_reference():
                                                 abs=1e-12)
 
 
+def test_adam_steps_read_zero_for_an_untouched_row_of_an_allocated_table():
+    p = init_params(Vocabulary(["a", "b", "c"], ["r"], [2]), 1,
+                    np.random.default_rng(0))
+    opt = OptimizerState()
+    adam_update(opt, p, {("base", 1): np.array([1.0])}, 0.1)
+    assert opt.steps[("base", 1)] == 1
+    assert opt.steps[("base", 0)] == opt.steps[("base", 2)] == 0
+    with pytest.raises(KeyError):  # the bump table is not allocated yet
+        opt.steps[("bump", 0)]
+
+
 def test_adam_step_counters_are_per_slot():
     p = init_params(Vocabulary(["a", "b"], ["r"], [2]), 1,
                     np.random.default_rng(0))
