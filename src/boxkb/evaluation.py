@@ -17,9 +17,36 @@ substituting a candidate changes only its own position's base and one term
 of the bump sum S shared by every position, so a query never gathers the
 (E, n, d) candidate rows; it forms S, one position's points and their
 distance vector for one cache-sized block of candidates at a time, at
-most about 1 MB at any |E| and arity.  ``evaluate`` forms ``entity_base -
-entity_bump`` once per call for every query to share.  The scores are
-bitwise those of ``score_batch`` on the (E, n) candidate rows.
+most about 1 MB at any |E| and arity.
+
+Ranking screens every candidate in float32 and re-scores in float64 only
+the rows the screen cannot decide (filter and refine, as in Faloutsos,
+Ranganathan & Manolopoulos, SIGMOD 1994).  ``evaluate`` copies
+``entity_base``, ``entity_bump`` and their difference to float32 once per
+call, and forms each relation's boxes once in float64 and rounds them to
+float32 (``_Screen``); each query scores all |E| candidates on those.  A
+rank depends only on whether each candidate scores below the target or
+equal to it.  ``_float32_bounds`` derives, from the magnitudes of the
+tables and of the relation's boxes, a bound on how far each float32 score
+can lie from the float64 one (a priori rounding-error analysis, as in
+Higham, *Accuracy and Stability of Numerical Algorithms*, 2002): through
+the input rounding, the n-term bump sum, numpy's float32 tanh, the
+distance pieces, the d-term norm and the sum over positions, padded by a
+fixed factor.  A candidate is undecided if its float32 score lies within
+both bounds of a target's, if its score is not finite, or, under the
+whole-point branch where the score jumps at the box boundary, if one of
+its points lies within ``slack`` of a box face.  A target undecided by
+its own score (near a face, where its float32 score can be off by the
+whole jump, or not finite) is re-scored in float64 first, and the rows are
+tested against that exact score with no bound of its own.  Every other
+candidate compares with every target the same way in float32 as in
+float64, and never ties.  The undecided rows and the targets are re-scored
+by ``score_candidates`` on the float64 tables, on an id array (bitwise the
+values it gives among all |E|), and the ranks are counted on the float32
+scores with those rows replaced: exactly the float64 ranks.  When no row
+but the targets themselves is undecided the float64 pass is skipped.
+Non-finite parameters make every bound non-finite, so every row is
+re-scored.
 
 The filter tests the candidate rows, one block at a time, with
 ``kb.known_rows`` against the knowledge base's ``known_index`` (the
@@ -43,11 +70,13 @@ grouping, or on parallel partitioning.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .kb import Fact, KnowledgeBase, known_rows
-from .model import ModelParams, row_blocks, score_candidates
+from .model import ModelParams, _box_tensors, row_blocks, score_candidates
 
 
 def rank_from_scores(scores: np.ndarray, target: int,
@@ -62,11 +91,113 @@ def rank_from_scores(scores: np.ndarray, target: int,
     return 1 + better + (ties + 1) // 2
 
 
+_U = 2.0 ** -24          # float32 unit roundoff: one rounding's relative error
+_TINY = 2.0 ** -149      # float32's smallest subnormal: an underflowing product's error
+# numpy float32 tanh's absolute error in units of 2^-24, an ulp just below 1.
+# Measured over every finite float32 input on numpy 2.4.6, x86-64: at most
+# 1.01 on the AVX2 and AVX-512 paths and 1.74 on the baseline path.  numpy's
+# own accuracy test holds it within 2 ulps of its validation set's reference
+# values, on Linux with AVX2 or AVX-512 only.  Other numpy versions and other
+# architectures were not measured: 4 assumes they stay within twice that.
+_TANH_ULPS = 4.0
+_PAD = 2.0               # covers second-order terms and the float64 path's own rounding
+
+
+def _gamma(k: int) -> float:
+    """Relative error of a product of k float32 roundings (Higham's gamma_k)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _float32_bounds(params: ModelParams, box: tuple, base_max: float,
+                    bump_max: float) -> tuple[float, float, float]:
+    """(slack, err_abs, err_rel) of the float32 scores against the boxes
+    ``box`` (float64 ``_box_tensors``), derived step by step from the
+    kernel's operations and the largest |entity_base| and |entity_bump|
+    entries: a float32 score lies within ``err_abs + err_rel * |score|`` of
+    the float64 one.  Under the whole-point branch, the inside test moves
+    each face out by ``slack``, and a point that passes it but lies within
+    ``slack`` of a face leaves its row undecided."""
+    _, lo, hi, c, w, kappa = box
+    n, d = lo.shape
+    # raw point base - bump + S, S the bump sum: inputs rounded to float32,
+    # one subtraction, n - 1 additions and one more; every partial sum is
+    # at most raw_max
+    raw_max = base_max + (n + 1) * bump_max
+    e_x, x_max = _gamma(n + 3) * raw_max, raw_max
+    if params.bounded:  # tanh is 1-Lipschitz, and an ulp below 1 is _U
+        e_x, x_max = e_x + _TANH_ULPS * _U, 1.0
+    f_max = max(float(np.abs(lo).max()), float(np.abs(hi).max()))  # |c| <= f_max
+    w_max, k_max = float(w.max()), float(kappa.max())  # w >= 1, kappa >= 0
+    # the inside test against the moved faces, and the depth behind a
+    # face: x, the faces or c and w each rounded, and one subtraction
+    slack = _PAD * (e_x + _U * (2 * x_max + 4 * f_max + 3 * w_max))
+    # t = |x - c|, then t * w - kappa outside (t / w inside is smaller)
+    e_t = e_x + _U * (x_max + 2 * f_max)
+    e_dv = w_max * e_t + _U * (3 * (x_max + f_max) * w_max + 2 * k_max) + 2 * _TINY
+    if params.per_dim_branch:
+        # a coordinate whose branch differs lies that near a face, where
+        # the two pieces meet with slopes w and 1 / w
+        e_dv += (e_x + _U * f_max) * w_max
+        slack = 0.0
+    if params.norm_order == 1:
+        e_norm = d * e_dv
+    else:  # the error vector's 2-norm, and the squares that underflow
+        e_norm = np.sqrt(d) * (e_dv + np.sqrt(_TINY))
+    # the norms' own d-term sums and the n-term sum over positions
+    return slack, _PAD * n * e_norm, _PAD * (_gamma(d + 1) + _gamma(n))
+
+
+class _Relation(NamedTuple):
+    """One relation as the screen sees it: its float64 ``_box_tensors``, its
+    float32 ones with the faces moved out by ``slack``, and the bounds."""
+    box: tuple
+    box32: tuple
+    slack: float
+    err_abs: float
+    err_rel: float
+
+
+class _Screen:
+    """What the queries of one ranking call share: float32 copies of the
+    entity tables and of their difference, and each of ``relations`` as a
+    ``_Relation``."""
+
+    def __init__(self, params: ModelParams, relations):
+        # a value past float32's range becomes inf, which makes the scores
+        # it enters non-finite, so their rows are re-scored
+        with np.errstate(over="ignore"):
+            base = params.entity_base.astype(np.float32)
+            bump = params.entity_bump.astype(np.float32)
+            self.base_less_bump = base - bump
+        self.params = replace(params, entity_base=base, entity_bump=bump)
+        base_max, bump_max = (max(t.max(initial=0.0), -t.min(initial=0.0))
+                              for t in (params.entity_base, params.entity_bump))
+        self.relations = {}
+        for r in set(relations):
+            box = _box_tensors(params, r, len(params.slot_of[r]))
+            slack, err_abs, err_rel = _float32_bounds(params, box, base_max, bump_max)
+            slots, lo, hi, *shape = box
+            with np.errstate(over="ignore"):
+                box32 = (slots, *(a.astype(np.float32)
+                                  for a in (lo - slack, hi + slack, *shape)))
+            self.relations[r] = _Relation(box, box32, slack, err_abs, err_rel)
+
+
 def _candidate_scores(params: ModelParams, fact: Fact, position: int,
-                      base_less_bump: np.ndarray) -> np.ndarray:
-    """Scores of the |E| rows substituting every entity at ``position``."""
-    return score_candidates(params, fact.relation, fact.entities, position,
-                            base_less_bump)
+                      screen: _Screen) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 scores of the |E| rows substituting every entity at
+    ``position``, and the rows no target can decide: a non-finite score, or
+    under the whole-point branch a point within ``slack`` of a box face."""
+    relation = screen.relations[fact.relation]
+    face_gap = (None if params.per_dim_branch
+                else np.full(params.entity_base.shape[0], np.inf, dtype=np.float32))
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are re-scored
+        scores = score_candidates(screen.params, fact.relation, fact.entities, position,
+                                  screen.base_less_bump, relation.box32, face_gap)
+    undecided = ~np.isfinite(scores)
+    if face_gap is not None:
+        undecided |= ~(face_gap > relation.slack)
+    return scores, undecided
 
 
 def _known_candidates(index: dict[int, np.ndarray], fact: Fact, position: int,
@@ -84,12 +215,41 @@ def _known_candidates(index: dict[int, np.ndarray], fact: Fact, position: int,
 
 def _query_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
                  position: int, targets: list[int],
-                 base_less_bump: np.ndarray) -> list[tuple[int, int]]:
+                 screen: _Screen) -> list[tuple[int, int]]:
     """(raw, filtered) rank of each of ``targets`` at ``position`` of the query
     ``fact`` poses there, from one score vector and one filter mask; the
     filter drops the candidates that are facts in ``index``, a
-    ``kb.fact_index``."""
-    scores = _candidate_scores(params, fact, position, base_less_bump)
+    ``kb.fact_index``.  The scores are ``screen``'s float32 ones, with the
+    rows it cannot decide re-scored in float64."""
+    scores, undecided = _candidate_scores(params, fact, position, screen)
+    relation = screen.relations[fact.relation]
+    scores = scores.astype(np.float64)
+    err = np.abs(scores)
+    err *= relation.err_rel
+    err += relation.err_abs
+    # a target undecided already (near a face, where its float32 score can
+    # be off by the whole jump, or not finite) is re-scored first, and the
+    # rows are compared with its float64 score, exact, so with no bound
+    exact = [t for t in targets if undecided[t]]
+    if exact:
+        exact = np.unique(exact)
+        scores[exact] = score_candidates(params, fact.relation, fact.entities, position,
+                                         None, relation.box, ids=exact)
+        err[exact] = 0.0
+        undecided[exact] = False
+    apart = np.empty_like(scores)  # how far each row lies beyond both bounds
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, so undecided
+        for t in targets:
+            np.subtract(scores, scores[t], out=apart)
+            np.abs(apart, out=apart)
+            apart -= err
+            apart -= err[t]
+            apart[t] = np.inf
+            undecided |= ~(apart > 0.0)
+    if undecided.any():
+        ids = np.union1d(np.flatnonzero(undecided), targets)
+        scores[ids] = score_candidates(params, fact.relation, fact.entities, position,
+                                       None, relation.box, ids=ids)
     include = ~_known_candidates(index, fact, position, scores.shape[0])
     return [(rank_from_scores(scores, t, None), rank_from_scores(scores, t, include))
             for t in targets]
@@ -100,7 +260,7 @@ def rank_fact(params: ModelParams, kb: KnowledgeBase, fact: Fact,
     """Rank of ``fact`` against all substitutions at ``position``."""
     return _query_ranks(params, kb.known_index, fact, position,
                         [fact.entities[position]],
-                        params.entity_base - params.entity_bump)[0][filtered]
+                        _Screen(params, [fact.relation]))[0][filtered]
 
 
 def metrics_from_ranks(ranks: list[int], ks: tuple[int, ...]) -> dict:
@@ -137,12 +297,12 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str,
             n_rankings += 1
     work = [queries[key] for key in sorted(queries)]
     index = kb.known_index  # built here, before any worker thread reads it
-    base_less_bump = params.entity_base - params.entity_bump
+    screen = _Screen(params, [fact.relation for fact, *_ in work])
     raw, filt = [0] * n_rankings, [0] * n_rankings
 
     def rank_all(shard):
         for fact, position, slots, targets in shard:
-            pairs = _query_ranks(params, index, fact, position, targets, base_less_bump)
+            pairs = _query_ranks(params, index, fact, position, targets, screen)
             for i, (r, f) in zip(slots, pairs):
                 raw[i], filt[i] = r, f
 

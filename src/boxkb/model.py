@@ -14,7 +14,9 @@ broadcasts over the entity tables, not an (E, n, d) gather, and returns
 bitwise the scores ``score_batch`` gives the same rows.  Both scorers work
 one block of rows at a time (``row_blocks``): every element-wise pass over
 a block stays within ``_BLOCK_BYTES``, so it runs in cache, and a ranking
-query holds at most about 1 MB at any |E| and arity.  Relation r owns one
+query holds at most about 1 MB at any |E| and arity.  The scorers compute
+in the entity tables' dtype: training and checkpoints use float64, and
+ranking screens on float32 copies (see ``evaluation``).  Relation r owns one
 box per argument position; the fact's score is the sum over positions of
 the L-x norm of an element-wise distance between final_i and box i.  Lower
 scores mean more plausible facts.
@@ -250,23 +252,36 @@ def _final_points(params: ModelParams, operands, base_less_bump=None):
         yield np.tanh(pts, out=pts) if params.bounded else pts
 
 
-def _box_tensors(params: ModelParams, relation: int, n_positions: int):
-    """The boxes of ``relation`` for rows of ``n_positions`` entities, or
-    ValueError unless that is the relation's arity: every scorer calls this."""
-    slots = params.slot_of[relation]
+def _check_arity(slots: np.ndarray, n_positions: int) -> None:
+    """ValueError unless rows of ``n_positions`` entities have one box slot
+    each: every scorer calls this, through ``_box_tensors`` or directly."""
     if n_positions != len(slots):
         raise ValueError("fact arity does not match relation arity")
+
+
+def _box_tensors(params: ModelParams, relation: int, n_positions: int):
+    """The boxes of ``relation`` for rows of ``n_positions`` entities, in the
+    entity tables' dtype, or ValueError unless that is the relation's arity."""
+    slots = params.slot_of[relation]
+    _check_arity(slots, n_positions)
     lo, hi = params.effective_bounds(slots)
-    return (slots, lo, hi, *_box_shape(lo, hi))
+    dtype = params.entity_base.dtype  # formed in float64, then rounded once
+    return (slots, *(np.asarray(a, dtype=dtype) for a in (lo, hi, *_box_shape(lo, hi))))
 
 
 def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
-                    overwrite: bool = False) -> np.ndarray:
+                    overwrite: bool = False, face_gap=None) -> np.ndarray:
     """Norm of the distance of each point of ``x`` (B, d) to box ``p`` of
-    ``box`` (a ``_box_tensors`` tuple); ``overwrite`` as in ``_distance``."""
+    ``box`` (a ``_box_tensors`` tuple); ``overwrite`` as in ``_distance``,
+    ``face_gap`` as in ``score_candidates``."""
     _, lo, hi, c, w, kappa = box
-    dv = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p], params.per_dim_branch,
-                   overwrite)[0]
+    dv, _, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],
+                                 params.per_dim_branch, overwrite)
+    if face_gap is not None:
+        rows = np.flatnonzero(branch[:, 0])
+        if rows.size:
+            depth = ((w[p] - 1.0) * 0.5 - t[rows]).min(axis=1)
+            face_gap[rows] = np.minimum(face_gap[rows], depth)
     if params.norm_order == 1:
         return np.abs(dv, out=dv).sum(axis=1)
     return np.sqrt(np.multiply(dv, dv, out=dv).sum(axis=1))
@@ -288,15 +303,17 @@ class ForwardCache:
 def forward(params: ModelParams, relation: int, ents: np.ndarray
             ) -> tuple[np.ndarray, ForwardCache]:
     """Scores of a batch of same-relation facts given as a (B, n) id array,
-    formed one ``row_blocks`` block of rows at a time."""
+    formed one ``row_blocks`` block of rows at a time in the entity tables'
+    dtype."""
     ents = np.asarray(ents, dtype=np.int64)
     box = _box_tensors(params, relation, ents.shape[1])
     # one allocation for every position: n separate (B, d) arrays of a large
     # batch go back to the system when freed and fault in again next call
-    points = np.empty((ents.shape[1], ents.shape[0], params.d))
-    norms = np.empty(ents.shape, dtype=np.float64)
-    total = np.zeros(ents.shape[0], dtype=np.float64)
-    for blk in row_blocks(ents.shape[0], 8 * params.d):
+    dtype = params.entity_base.dtype
+    points = np.empty((ents.shape[1], ents.shape[0], params.d), dtype=dtype)
+    norms = np.empty(ents.shape, dtype=dtype)
+    total = np.zeros(ents.shape[0], dtype=dtype)
+    for blk in row_blocks(ents.shape[0], points.itemsize * params.d):
         block_total = total[blk]
         for p, x in enumerate(_final_points(params, ents[blk].T)):
             points[p, blk] = x
@@ -306,7 +323,9 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
 
 
 def score_candidates(params: ModelParams, relation: int, entities, position: int,
-                     base_less_bump: np.ndarray) -> np.ndarray:
+                     base_less_bump: np.ndarray | None, box: tuple | None = None,
+                     face_gap: np.ndarray | None = None,
+                     ids: np.ndarray | None = None) -> np.ndarray:
     """Scores of the |E| facts that put each entity in turn at ``position``
     of ``entities``; bitwise the ``score_batch`` scores of those rows.
 
@@ -314,15 +333,33 @@ def score_candidates(params: ModelParams, relation: int, entities, position: int
     forms once.  The rows differ only in the candidate, so ``_final_points``
     takes a block of entities at ``position`` and one id elsewhere: (rows, d)
     broadcasts, one ``row_blocks`` block and one position at a time, never
-    an (E, n, d) gather nor even a whole (E, d) array.
+    an (E, n, d) gather nor even a whole (E, d) array.  Everything is formed
+    in the entity tables' dtype.  Given ``ids``, an id array, it scores
+    those candidates alone, bitwise as among all |E|, and does without
+    ``base_less_bump``.
+
+    A caller that keeps ``relation``'s ``_box_tensors`` passes them as
+    ``box``.  The ranking screen passes its float32 boxes, their faces moved
+    out for the whole-point inside test, and ``face_gap`` (E,), filled with
+    inf: for each row, it takes the least depth of one of its points in its
+    box, min over dimensions of half the box width less |x - c|, over the
+    positions that the inside test passed (whole-point branch only).
     """
-    box = _box_tensors(params, relation, len(entities))
-    total = np.zeros(params.entity_base.shape[0], dtype=np.float64)
-    for blk in row_blocks(total.shape[0], 8 * params.d):
-        operands = [blk if q == position else int(e) for q, e in enumerate(entities)]
+    if box is None:
+        box = _box_tensors(params, relation, len(entities))
+    else:
+        _check_arity(box[0], len(entities))
+    n_rows = params.entity_base.shape[0] if ids is None else len(ids)
+    total = np.zeros(n_rows, dtype=params.entity_base.dtype)
+    for blk in row_blocks(n_rows, total.itemsize * params.d):
+        rows = blk if ids is None else ids[blk]
+        operands = [rows if q == position else int(e) for q, e in enumerate(entities)]
+        points = _final_points(params, operands,
+                               None if ids is not None else base_less_bump[blk])
+        gap = None if face_gap is None else face_gap[blk]
         block_total = total[blk]
-        for q, x in enumerate(_final_points(params, operands, base_less_bump[blk])):
-            block_total += _position_norms(params, x, box, q, overwrite=True)
+        for q, x in enumerate(points):
+            block_total += _position_norms(params, x, box, q, overwrite=True, face_gap=gap)
     return total
 
 

@@ -11,7 +11,7 @@ from boxkb import evaluation, model
 from boxkb.kb import (Fact, KnowledgeBase, Vocabulary, augment_inverses, fact_index,
                       known_rows)
 from boxkb.model import init_params, score_batch, score_candidates
-from boxkb.evaluation import (_candidate_scores, _query_ranks, evaluate,
+from boxkb.evaluation import (_candidate_scores, _query_ranks, _Screen, evaluate,
                               metrics_from_ranks, rank_fact, rank_from_scores,
                               ranked_facts)
 from boxkb.rules import inject
@@ -217,7 +217,7 @@ def test_filtered_ranking_matches_reference_fact_loop(case):
         empty = {1, 3}  # relation 1 and its inverse
     params = tied_params(kb.vocab, 3)
     index = fact_index(kb.known)
-    base_less_bump = params.entity_base - params.entity_bump
+    screen = _Screen(params, range(kb.vocab.n_relations))
     assert empty.isdisjoint(index)
     # targets: every known fact, inverse helpers included, and facts of
     # every relation that are not known
@@ -225,7 +225,7 @@ def test_filtered_ranking_matches_reference_fact_loop(case):
     assert empty <= {f.relation for f in unknown}
     filtered_below_raw = 0
     for fact in sorted(kb.known) + unknown:
-        ranks = [_query_ranks(params, index, fact, p, [fact.entities[p]], base_less_bump)[0]
+        ranks = [_query_ranks(params, index, fact, p, [fact.entities[p]], screen)[0]
                  for p in range(fact.arity)]
         for p in range(fact.arity):
             expect = reference_position_ranks(params, kb, fact, p)
@@ -301,7 +301,7 @@ def test_candidate_scores_working_set_does_not_grow_with_arity():
     v.relation_id("pair", arity=2, create=True)
     v.relation_id("quad", arity=4, create=True)
     params = init_params(v, d, np.random.default_rng(0))
-    base_less_bump = params.entity_base - params.entity_bump
+    screen = _Screen(params, (0, 1))
     peaks = {}
     for rel, arity in enumerate((2, 4)):
         fact = Fact(rel, tuple(range(1, arity + 1)))
@@ -310,7 +310,7 @@ def test_candidate_scores_working_set_does_not_grow_with_arity():
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                _candidate_scores(params, fact, position, base_less_bump)
+                _candidate_scores(params, fact, position, screen)
                 peak = max(peak, tracemalloc.get_traced_memory()[1] - start)
             finally:
                 tracemalloc.stop()
@@ -327,7 +327,7 @@ def test_one_query_holds_a_fraction_of_one_entity_table():
     table = n_e * d * 8
     v = vocab_of(n_e, (2, 4))
     params = init_params(v, d, np.random.default_rng(0))
-    base_less_bump = params.entity_base - params.entity_bump
+    screen = _Screen(params, (0, 1))
     rng = np.random.default_rng(1)
     facts = [Fact(rel, tuple(int(e) for e in rng.integers(0, n_e, arity)))
              for rel, arity in ((0, 2), (1, 4)) for _ in range(500)]
@@ -339,7 +339,7 @@ def test_one_query_holds_a_fraction_of_one_entity_table():
             try:
                 start = tracemalloc.get_traced_memory()[0]
                 _query_ranks(params, index, fact, position,
-                             [fact.entities[position]], base_less_bump)
+                             [fact.entities[position]], screen)
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
@@ -564,3 +564,128 @@ def test_evaluate_pool_memory_does_not_grow_with_the_query_count():
     (few, few_gap), (many, many_gap) = sorted(gaps.items())
     assert few >= 1000 and many >= 2000
     assert many_gap - few_gap <= 256 * (many - few), gaps
+
+
+# -- the float32 screen ranks exactly as float64 does -------------------------
+
+def assert_float64_ranks(params, kb):
+    """``evaluate`` and every ``rank_fact`` equal the float64 references."""
+    assert evaluate(params, kb, "test") == reference_evaluate(params, kb, "test")
+    for fact in ranked_facts(kb, "test"):
+        for p in range(fact.arity):
+            got = tuple(rank_fact(params, kb, fact, p, filtered) for filtered in (False, True))
+            assert got == reference_position_ranks(params, kb, fact, p), (fact, p)
+
+
+def float32_alone_misranks(params, kb):
+    """Whether ranking on the screen's float32 scores alone, with no
+    re-score, would give some test ranking another raw rank."""
+    screen = _Screen(params, range(kb.vocab.n_relations))
+    for fact in ranked_facts(kb, "test"):
+        for p in range(fact.arity):
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores = score_candidates(screen.params, fact.relation, fact.entities, p,
+                                          screen.base_less_bump)
+            expect = reference_position_ranks(params, kb, fact, p)[0]
+            if rank_from_scores(scores, fact.entities[p]) != expect:
+                return True
+    return False
+
+
+def near_tie_case(norm_order, bounded, per_dim_branch, scale=1.0):
+    """Entity 0 and the targets' co-participants are random; entities 1-5
+    are exact copies of entity 0, and entities 6-29 copies moved by 1e-12 to
+    1e-6 of ``scale`` per coordinate, so their scores tie entity 0's or lie
+    closer to it than float32 can tell apart."""
+    v = vocab_of(40, (2, 1))
+    p = init_params(v, 5, np.random.default_rng(5), norm_order=norm_order, bounded=bounded)
+    p.per_dim_branch = per_dim_branch
+    rng = np.random.default_rng(6)
+    for table in (p.entity_base, p.entity_bump, p.box_a, p.box_b):
+        table *= scale
+    for e in range(1, 30):
+        size = 0.0 if e < 6 else scale * 10.0 ** -rng.integers(6, 13)
+        p.entity_base[e] = p.entity_base[0] + size * rng.uniform(-1, 1, p.d)
+        p.entity_bump[e] = p.entity_bump[0] + size * rng.uniform(-1, 1, p.d)
+    test = [Fact(0, (31, 0)), Fact(0, (31, 12)), Fact(0, (0, 32)), Fact(0, (3, 33)),
+            Fact(1, (0,)), Fact(1, (20,))]
+    train = [Fact(0, (31, 2)), Fact(0, (31, 15)), Fact(0, (7, 32)), Fact(1, (4,))]
+    return p, kb_with(v, train=train, test=test)
+
+
+@pytest.mark.parametrize("norm_order,bounded,per_dim_branch",
+                         [(2, True, False), (1, True, False), (2, False, True),
+                          (1, True, True)])
+def test_screen_ranks_exact_and_near_ties_as_float64(norm_order, bounded, per_dim_branch):
+    params, kb = near_tie_case(norm_order, bounded, per_dim_branch)
+    assert float32_alone_misranks(params, kb)
+    assert_float64_ranks(params, kb)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e20])
+def test_screen_ranks_large_unbounded_coordinates_as_float64(scale):
+    # at 1e20 the float32 squares overflow, and every score is re-scored
+    params, kb = near_tie_case(2, False, False, scale=scale)
+    assert float32_alone_misranks(params, kb)
+    assert_float64_ranks(params, kb)
+
+
+def face_case(norm_order, per_dim_branch):
+    """Unbounded points on and near the faces of a relation's second box,
+    whose first dimension is [-0.1, 0.1] and second [-2, 2]: with no bumps a
+    candidate's point is its base.  0.1 + 1e-12 is outside in float64 but
+    rounds to float32's 0.1, inside, and under the whole-point branch the
+    score jumps from about 0.08 inside to about 9.6 outside; the targets
+    score about 0.9, in between.  Target 4, at 0.1 + 1e-12, is such a point.
+    The last points lie 2e-5 and 1e-4 outside that face, past ``slack``,
+    with y set from each dimension's slope so that their float64 scores lie
+    within a float32 ulp of target 4's, on either side."""
+    offsets = [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 3e-8, -3e-8, 1e-7, -1e-7, 1e-6]
+    faces = [(0.1, 0.0), (-0.1, 0.0), (0.0, 2.0), (0.05, -2.0)]
+    points = [(0.0, 2.1), (2.1 * 0.1 / 2.0, 0.0), (0.0, 0.0)]
+    for fx, fy in faces:
+        for off in offsets:
+            points.append((fx + off, fy) if fy == 0.0 else (fx, fy + off))
+    slope = 1.2 / 5.0 if norm_order == 1 else 0.1 / 48.0
+    for off in (2e-5, 1e-4):
+        for k in range(-3, 4):
+            points.append((0.1 + off, slope * off + k * 2e-8))
+    v = vocab_of(len(points) + 1, (2,))
+    p = init_params(v, 2, np.random.default_rng(0), norm_order=norm_order, bounded=False)
+    p.per_dim_branch = per_dim_branch
+    p.entity_bump[:] = 0.0
+    p.entity_base[:-1] = points
+    p.entity_base[-1] = 0.0  # the anchor, at the center of the first box
+    p.box_a[0], p.box_b[0] = -5.0, 5.0
+    p.box_a[1], p.box_b[1] = (-0.1, -2.0), (0.1, 2.0)
+    anchor = len(points)
+    test = [Fact(0, (anchor, 0)), Fact(0, (anchor, 1)), Fact(0, (anchor, 2)),
+            Fact(0, (anchor, 4))]
+    return p, kb_with(v, train=[Fact(0, (anchor, 5))], test=test)
+
+
+@pytest.mark.parametrize("norm_order", [1, 2])
+def test_screen_ranks_points_on_and_near_box_faces_as_float64(norm_order):
+    params, kb = face_case(norm_order, per_dim_branch=False)
+    assert float32_alone_misranks(params, kb)
+    assert_float64_ranks(params, kb)
+
+
+def test_screen_ranks_near_faces_with_the_per_dimension_branch_as_float64():
+    # no jump at the faces here: the bound covers a coordinate's branch
+    assert_float64_ranks(*face_case(2, per_dim_branch=True))
+
+
+def test_screen_ranks_a_trained_hierarchy_as_float64():
+    # injected containment puts many candidates inside their boxes
+    params, kb = trained_hierarchy()
+    screen = _Screen(params, range(kb.vocab.n_relations))
+    inside = 0
+    for fact in ranked_facts(kb, "test"):
+        for p in range(fact.arity):
+            gap = np.full(kb.vocab.n_entities, np.inf, dtype=np.float32)
+            score_candidates(screen.params, fact.relation, fact.entities, p,
+                             screen.base_less_bump, screen.relations[fact.relation].box32, gap)
+            inside += int(np.isfinite(gap).sum())
+    assert inside >= 500
+    assert_float64_ranks(params, kb)

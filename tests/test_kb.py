@@ -249,8 +249,10 @@ def test_parse_write_round_trip_property(tmp_path_factory, triples):
     (FORMAT_TRIPLE, "a\t\tb", 2),
     (FORMAT_NARY, "r\ta\tb\t", 4),
     (FORMAT_NARY, "r\ta\t\tb", 3),
+    (FORMAT_TRIPLE, "a\t \tb", 2),
+    (FORMAT_NARY, "r\ta\t ", 3),
 ], ids=["triple-trailing-tab", "triple-doubled-tab", "nary-trailing-tab",
-        "nary-doubled-tab"])
+        "nary-doubled-tab", "triple-space-relation", "nary-space-entity"])
 def test_an_empty_column_is_an_error(tmp_path, fmt, line, column):
     first = "a\tr\tb" if fmt == FORMAT_TRIPLE else "r\ta\tb"
     path = tmp_path / "train.tsv"

@@ -797,3 +797,26 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, p):
     save_checkpoint(p, b)
     assert a.read_bytes() == b.read_bytes()
     assert_same_params(p, load_checkpoint(a))
+
+
+@pytest.mark.parametrize("norm_order,bounded,per_dim_branch",
+                         [(2, True, False), (1, False, True)])
+def test_score_candidates_on_an_id_array_equals_all_candidates_bitwise(
+        monkeypatch, norm_order, bounded, per_dim_branch):
+    # blocks of five 48-byte rows, so the ids span several blocks
+    arities = (1, 2, 3)
+    n_e = 23
+    p = make_params(n_entities=n_e, arities=arities, d=6, seed=9,
+                    norm_order=norm_order, bounded=bounded)
+    p.per_dim_branch = per_dim_branch
+    p.entity_base *= 3.0
+    base_less_bump = p.entity_base - p.entity_bump
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 240)
+    rng = np.random.default_rng(3)
+    ids = np.array([0, 4, 5, 6, 11, 17, 22, 22])
+    for rel, arity in enumerate(arities):
+        anchor = tuple(int(e) for e in rng.integers(0, n_e, arity))
+        for pos in range(arity):
+            every = score_candidates(p, rel, anchor, pos, base_less_bump)
+            got = score_candidates(p, rel, anchor, pos, None, ids=ids)
+            assert np.array_equal(got.view(np.uint64), every[ids].view(np.uint64)), (rel, pos)
