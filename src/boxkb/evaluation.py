@@ -70,13 +70,13 @@ grouping, or on parallel partitioning.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .kb import Fact, KnowledgeBase, known_rows
-from .model import ModelParams, _box_tensors, row_blocks, score_candidates
+from .model import (ModelParams, _box_tensors, float32_entities, row_blocks,
+                    score_candidates)
 
 
 def rank_from_scores(scores: np.ndarray, target: int,
@@ -165,11 +165,9 @@ class _Screen:
     def __init__(self, params: ModelParams, relations):
         # a value past float32's range becomes inf, which makes the scores
         # it enters non-finite, so their rows are re-scored
+        self.params = float32_entities(params)
         with np.errstate(over="ignore"):
-            base = params.entity_base.astype(np.float32)
-            bump = params.entity_bump.astype(np.float32)
-            self.base_less_bump = base - bump
-        self.params = replace(params, entity_base=base, entity_bump=bump)
+            self.base_less_bump = self.params.entity_base - self.params.entity_bump
         base_max, bump_max = (max(t.max(initial=0.0), -t.min(initial=0.0))
                               for t in (params.entity_base, params.entity_bump))
         self.relations = {}

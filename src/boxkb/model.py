@@ -14,9 +14,11 @@ broadcasts over the entity tables, not an (E, n, d) gather, and returns
 bitwise the scores ``score_batch`` gives the same rows.  Both scorers work
 one block of rows at a time (``row_blocks``): every element-wise pass over
 a block stays within ``_BLOCK_BYTES``, so it runs in cache, and a ranking
-query holds at most about 1 MB at any |E| and arity.  The scorers compute
-in the entity tables' dtype: training and checkpoints use float64, and
-ranking screens on float32 copies (see ``evaluation``).  Relation r owns one
+query holds at most about 1 MB at any |E| and arity.  The scorers and
+``backward`` compute in the entity tables' dtype, so a ``ModelParams`` whose
+entity tables are float32 copies computes in float32: training and the
+ranking screen run on such copies (see ``training`` and ``evaluation``),
+while the parameter tables themselves are float64.  Relation r owns one
 box per argument position; the fact's score is the sum over positions of
 the L-x norm of an element-wise distance between final_i and box i.  Lower
 scores mean more plausible facts.
@@ -147,6 +149,15 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return replace(self, vocab=self.vocab.copy(), slot_of=[s.copy() for s in self.slot_of],
                        **{name: getattr(self, name).copy() for name in _TABLES})
+
+
+def float32_entities(params: ModelParams) -> ModelParams:
+    """``params`` with float32 copies of its entity tables, sharing the
+    vocabulary, the slot map and the box tables: the scorers and ``backward``
+    compute in float32 on it.  A value past float32's range becomes inf."""
+    with np.errstate(over="ignore"):
+        return replace(params, entity_base=params.entity_base.astype(np.float32),
+                       entity_bump=params.entity_bump.astype(np.float32))
 
 
 def fresh_slots(arities) -> tuple[list[np.ndarray], int]:
@@ -404,15 +415,19 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
     """Add sum_b weights[b] * d(score_b)/d(params) into ``buf``.
 
     ``weights`` holds one upstream d(loss)/d(score) factor per row of the
-    ``forward`` call that made ``cache``.  Subgradient conventions: boundary
-    points take the inside branch, |z| contributes 0 at z = 0, and the L2
-    norm has zero gradient at the origin.
+    ``forward`` call that made ``cache``.  The gradients are computed in the
+    entity tables' dtype and added into ``buf``; ``to_corners`` routes the
+    box gradients by the box tables, which a ``float32_entities`` view
+    shares in float64.  Subgradient conventions: boundary points take the
+    inside branch, |z| contributes 0 at z = 0, and the L2 norm has zero
+    gradient at the origin.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    dtype = params.entity_base.dtype
+    weights = np.asarray(weights, dtype=dtype)
     ents = cache.ents
     B, n = ents.shape
     slots, lo, hi, c, w, kappa = _box_tensors(params, cache.relation, n)
-    g_raw = np.empty((B, n, params.d), dtype=np.float64)
+    g_raw = np.empty((B, n, params.d), dtype=dtype)
     for p, x in enumerate(cache.points):
         dv, z, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],
                                      params.per_dim_branch)

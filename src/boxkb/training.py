@@ -12,10 +12,17 @@ weights are treated as constants during differentiation.
 
 Each relation group of a batch is scored once: its positives and their
 corruptions go through one ``model.forward`` call and one ``model.backward``
-call.  Batch gradients are plain sums over examples (the learning rate
-absorbs scale).  Adam keeps dense first and second moments and a step
-counter per row of each parameter table; only rows touched by a batch
-advance their moments and step counters.
+call.  Both compute in float32 over float64 master tables (mixed precision,
+as in Micikevicius et al., ICLR 2018): each epoch rounds ``entity_base``
+and ``entity_bump`` to float32 once (``model.float32_entities``), and after
+each Adam step copies from the masters only the rows the batch touched.
+The box tables are not copied: each call forms its boxes from the float64
+corners, and box gradients are routed to the float64 corners, so merged
+slots and containment projection need nothing more.  Batch gradients are
+plain float64 sums over examples (the learning rate absorbs scale).  Adam
+keeps dense float64 first and second moments and a step counter per row of
+each parameter table; only rows touched by a batch advance their moments
+and step counters.  ``loss`` and ``score`` stay float64.
 
 All randomness derives from a single seed through named sub-streams; the
 shuffle stream is additionally keyed by epoch so changing the negative count
@@ -35,7 +42,7 @@ from scipy.special import expit, softmax
 from . import rules  # rules.apply_projection is looked up per call, so a wrapper sees it
 from .kb import Fact, KnowledgeBase, Vocabulary, group_by_relation, known_rows
 from .model import (TABLE_OF_KIND, GradBuffer, GradMap, ModelParams, SlotKey, backward,
-                    forward, score)
+                    float32_entities, forward, score)
 
 STREAM_INIT = 1
 STREAM_NEGATIVES = 2
@@ -270,6 +277,7 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
     neg_rng = stream_rng(config.seed, STREAM_NEGATIVES, epoch)
     avoid = kb.train_index if config.filter_train_negatives else None
     n_entities = params.vocab.n_entities
+    kernel = float32_entities(params)
     total_loss = 0.0
     growth = 0
     for start in range(0, len(facts), config.batch_size):
@@ -280,13 +288,13 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
             negs = _draw_corruptions(neg_rng, rel, ents, config.negatives,
                                      n_entities, stats=stats, avoid=avoid)
             B, m, n = negs.shape
-            scores, cache = forward(params, rel,
+            scores, cache = forward(kernel, rel,
                                     np.concatenate([ents, negs.reshape(B * m, n)]))
             row_loss, d_pos, d_neg = adversarial_loss_terms(
                 scores[:B], scores[B:].reshape(B, m), config.margin,
                 config.adversarial_temperature)
             batch_loss += float(row_loss.sum())
-            backward(params, cache, np.concatenate([d_pos, d_neg.ravel()]), buf)
+            backward(kernel, cache, np.concatenate([d_pos, d_neg.ravel()]), buf)
         if not np.isfinite(batch_loss):
             raise TrainingAbort(
                 "non-finite loss; training aborted",
@@ -298,6 +306,10 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
                     "facts": [[f.relation, list(f.entities)] for f in batch[:8]],
                 })
         adam_update(optimizer, params, buf, config.learning_rate)
+        for name, touched in (("entity_base", buf.base_touched),
+                              ("entity_bump", buf.bump_touched)):
+            rows = np.flatnonzero(touched)
+            getattr(kernel, name)[rows] = getattr(params, name)[rows]
         if projection_plan is not None:
             growth += rules.apply_projection(params, projection_plan)
         total_loss += batch_loss

@@ -12,9 +12,9 @@ from boxkb.evaluation import evaluate, rank_fact
 from boxkb.geometry import Box
 from boxkb.kb import Fact, KnowledgeBase, Vocabulary
 from boxkb.model import (GradBuffer, GradMap, ModelParams, backward, bound, dist,
-                         final_embedding, forward, init_params, load_checkpoint,
-                         row_blocks, save_checkpoint, score, score_batch,
-                         score_candidates, score_gradient)
+                         final_embedding, float32_entities, forward, init_params,
+                         load_checkpoint, row_blocks, save_checkpoint, score,
+                         score_batch, score_candidates, score_gradient)
 
 
 def make_vocab(n_entities=4, arities=(2,)):
@@ -241,6 +241,7 @@ def test_score_gradient_matches_finite_differences(norm_order, bounded):
         grads = score_gradient(p, f)
         assert grads  # at least the box slots are touched
         for (kind, idx), vec in grads.items():
+            assert vec.dtype == np.float64
             fd = fd_gradient(p, f, kind, idx)
             assert np.allclose(vec, fd, rtol=1e-4, atol=1e-6), (kind, idx)
 
@@ -283,6 +284,50 @@ def test_batched_backward_matches_per_fact_gradients(norm_order, bounded,
             assert batched.keys() == expect.keys()
             for key, vec in expect.items():
                 assert np.allclose(batched[key], vec, rtol=0.0, atol=1e-12), key
+
+
+def float64_and_float32_gradients(p: ModelParams, relation: int, ents, weights):
+    """The float64 ``GradBuffer`` of forward and backward on ``p``, and the
+    one on ``float32_entities(p)``, the training kernel's view."""
+    bufs = []
+    for q in (p, float32_entities(p)):
+        buf = GradBuffer(p)
+        backward(q, forward(q, relation, ents)[1], weights, buf)
+        bufs.append(buf)
+    return bufs
+
+
+# The largest gap allowed between a float32 and a float64 gradient table, as
+# a fraction of the float64 table's largest entry: each entry sums a few
+# hundred float32 roundings (worst measured on the cases below: 4.4e-7)
+FLOAT32_GRAD_RTOL = 1e-5
+
+
+@pytest.mark.parametrize("norm_order", [1, 2])
+@pytest.mark.parametrize("bounded", [True, False])
+@pytest.mark.parametrize("per_dim_branch", [False, True])
+def test_float32_backward_matches_float64_backward(norm_order, bounded, per_dim_branch):
+    # rows of arity 1..4 and a binary relation whose positions share a slot;
+    # one wide box holds points, so both branches of the distance are taken
+    arities = (1, 2, 3, 4, 2)
+    rng = np.random.default_rng(13)
+    for trial in range(4):
+        p = make_params(n_entities=12, arities=arities, d=8, seed=trial,
+                        norm_order=norm_order, bounded=bounded)
+        p.per_dim_branch = per_dim_branch
+        p.merge_slots([(int(p.slot_of[4][0]), int(p.slot_of[4][1]))])
+        wide = int(p.slot_of[1][0])
+        p.box_a[wide], p.box_b[wide] = -3.0, 3.0
+        for rel, arity in enumerate(arities):
+            ents = rng.integers(0, 12, size=(40, arity))
+            b64, b32 = float64_and_float32_gradients(p, rel, ents, rng.normal(size=40))
+            for name in ("base", "bump", "boxa", "boxb"):
+                g64, g32 = getattr(b64, name), getattr(b32, name)
+                assert g32.dtype == np.float64
+                assert np.abs(g32 - g64).max() <= FLOAT32_GRAD_RTOL * np.abs(g64).max(), \
+                    (trial, rel, name)
+            for name in ("base_touched", "bump_touched", "box_touched"):
+                assert np.array_equal(getattr(b32, name), getattr(b64, name))
 
 
 @pytest.mark.parametrize("norm_order", [1, 2])
@@ -439,6 +484,25 @@ def test_set_raw_bounds_route_to_min_max_corner():
     assert p.box_b[slot, 1] == 2.0 and p.box_a[slot, 1] == -1.0
     lo, hi = p.raw_bounds(slot)
     assert np.array_equal(lo, [-2.0, -1.0]) and np.array_equal(hi, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_float32_backward_routes_box_gradients_by_the_float64_corners(bounded):
+    # on dimension 0 box_a lies above box_b by less than float32 resolves:
+    # the float64 corners make box_b the lower bound, while float32 copies
+    # of them would tie and send the lower bound's gradient to box_a
+    p = make_params(n_entities=3, d=3, seed=4, bounded=bounded)
+    slot = int(p.slot_of[0][0])
+    p.box_b[slot, 0] = 0.1
+    p.box_a[slot, 0] = 0.1 + 1e-12
+    assert np.float32(p.box_a[slot, 0]) == np.float32(p.box_b[slot, 0])
+    ents = np.array([[0, 1], [1, 2], [2, 0]])
+    b64, b32 = float64_and_float32_gradients(p, 0, ents, np.ones(3))
+    g_hi, g_lo = b64.boxa[slot, 0], b64.boxb[slot, 0]
+    assert abs(g_hi - g_lo) > 0.1 * abs(g_hi)  # a swap of the two would show
+    for name in ("boxa", "boxb"):
+        g64, g32 = getattr(b64, name)[slot], getattr(b32, name)[slot]
+        assert np.allclose(g32, g64, rtol=FLOAT32_GRAD_RTOL, atol=0.0), name
 
 
 def test_d_is_the_table_width():

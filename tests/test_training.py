@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkb import rules
+from boxkb import rules, training
 from boxkb.kb import Fact, KnowledgeBase, Vocabulary, fact_index, known_rows
 from boxkb.model import GradBuffer, init_params, score, score_gradient
 from boxkb.synth import random_binary_kb
@@ -463,6 +463,42 @@ def test_train_epoch_calls_apply_projection_through_the_rules_module(monkeypatch
     train_epoch(p, OptimizerState(), kb, TrainConfig(seed=10, batch_size=6),
                 projection_plan=plan)
     assert len(calls) == math.ceil(len(kb.train) / 6) and all(c is plan for c in calls)
+
+
+def test_float32_entity_tables_stay_in_step_with_the_masters(monkeypatch):
+    # every forward call of an epoch runs on the float32 rounding of the
+    # float64 masters as they stand, bit for bit, and on the masters' boxes
+    # and slot map: the rows each Adam step moved were copied back.  Merged
+    # slots, projection and filtered negatives are all in play, and each
+    # batch touches only some of the 60 entities
+    kb = random_binary_kb(n_entities=60, n_relations=3, n_facts=60, seed=12)
+    p = init_params(kb.vocab, 4, stream_rng(12, STREAM_INIT))
+    plan = rules.inject([rules.Rule(rules.SYMMETRY, (0,)),
+                         rules.Rule(rules.HIERARCHY, (1, 2))], p)
+    assert p.slot_of[0][0] == p.slot_of[0][1] and plan.containments
+    real = training.forward
+    calls = []
+
+    def checked(params, relation, ents):
+        for name in ("entity_base", "entity_bump"):
+            view, master = getattr(params, name), getattr(p, name)
+            assert view.dtype == np.float32
+            assert np.array_equal(view.view(np.uint32),
+                                  master.astype(np.float32).view(np.uint32)), name
+        assert params.box_a is p.box_a and params.box_b is p.box_b
+        assert params.slot_of is p.slot_of
+        calls.append(relation)
+        return real(params, relation, ents)
+
+    monkeypatch.setattr(training, "forward", checked)
+    before = snapshot(p)
+    cfg = TrainConfig(seed=12, batch_size=4, negatives=2, learning_rate=0.05,
+                      filter_train_negatives=True)
+    opt = OptimizerState()
+    for epoch in range(2):
+        train_epoch(p, opt, kb, cfg, projection_plan=plan, epoch=epoch)
+    assert len(calls) >= 2 * len(kb.train) // 4
+    assert not np.array_equal(before[0], p.entity_base)
 
 
 def test_train_model_checkpoint_cadence():
