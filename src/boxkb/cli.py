@@ -28,8 +28,8 @@ from pathlib import Path
 
 from .evaluation import evaluate, ranked_facts
 from .exact_fit import ExactFitError, TableFormatError, fit, parse_table
-from .kb import (FORMAT_NARY, FORMAT_TRIPLE, Fact, KBFormatError,
-                 KnowledgeBase, Vocabulary, augment_inverses, parse_kb)
+from .kb import (FORMAT_TRIPLE, FORMATS, Fact, KBFormatError, KnowledgeBase,
+                 Vocabulary, augment_inverses, parse_kb)
 from .model import init_params, load_checkpoint, save_checkpoint
 from .rules import (InconsistentRulesError, RuleError, UnsupportedRuleError,
                     box_stats, check_capture, check_tolerance,
@@ -50,8 +50,7 @@ class DataConfig:
     train: str = setting("", "training split path")
     valid: str = setting("", "validation split path")
     test: str = setting("", "test split path")
-    format: str = setting(FORMAT_TRIPLE, "data file format",
-                          choices=[FORMAT_TRIPLE, FORMAT_NARY])
+    format: str = setting(FORMAT_TRIPLE, "data file format", choices=FORMATS)
     workers: int = setting(
         1, "parallel evaluation workers; they change only evaluation speed")
     augment_inverses: bool = setting(
@@ -71,7 +70,7 @@ class RunConfig(TrainConfig, DataConfig):
     def validate(self) -> None:
         if not self.train:
             raise ConfigError("a training data path is required")
-        if self.format not in (FORMAT_TRIPLE, FORMAT_NARY):
+        if self.format not in FORMATS:
             raise ConfigError(f"unknown data format {self.format!r}")
         if self.d < 1:
             raise ConfigError("d must be at least 1")

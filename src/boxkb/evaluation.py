@@ -35,16 +35,15 @@ distance pieces, the d-term norm and the sum over positions, padded by a
 fixed factor.  A candidate is undecided if its float32 score lies within
 both bounds of a target's, if its score is not finite, or, under the
 whole-point branch where the score jumps at the box boundary, if one of
-its points lies within ``slack`` of a box face.  A target undecided by
-its own score (near a face, where its float32 score can be off by the
-whole jump, or not finite) is re-scored in float64 first, and the rows are
-tested against that exact score with no bound of its own.  Every other
-candidate compares with every target the same way in float32 as in
-float64, and never ties.  The undecided rows and the targets are re-scored
-by ``score_candidates`` on the float64 tables, on an id array (bitwise the
-values it gives among all |E|), and the ranks are counted on the float32
-scores with those rows replaced: exactly the float64 ranks.  When no row
-but the targets themselves is undecided the float64 pass is skipped.
+its points lies within ``slack`` of a box face.  A query with a target
+the screen cannot decide (near a face, where its float32 score can be off
+by the whole jump, or not finite) is ranked in float64 whole.  Otherwise
+every other candidate compares with every target the same way in float32
+as in float64, and never ties.  The undecided rows and the targets are
+re-scored by one ``score_candidates`` call on the float64 tables, on an id
+array (bitwise the values it gives among all |E|), and the ranks are
+counted on the float32 scores with those rows replaced: exactly the
+float64 ranks.  When no row is undecided the float64 pass is skipped.
 Non-finite parameters make every bound non-finite, so every row is
 re-scored.
 
@@ -163,10 +162,11 @@ class _Screen:
     ``_Relation``."""
 
     def __init__(self, params: ModelParams, relations):
-        # a value past float32's range becomes inf, which makes the scores
-        # it enters non-finite, so their rows are re-scored
+        # a value past float32's range becomes inf, and inf - inf is NaN:
+        # either makes the scores it enters non-finite, so their rows are
+        # re-scored
         self.params = float32_entities(params)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             self.base_less_bump = self.params.entity_base - self.params.entity_bump
         base_max, bump_max = (max(t.max(initial=0.0), -t.min(initial=0.0))
                               for t in (params.entity_base, params.entity_bump))
@@ -222,28 +222,23 @@ def _query_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
     scores, undecided = _candidate_scores(params, fact, position, screen)
     relation = screen.relations[fact.relation]
     scores = scores.astype(np.float64)
-    err = np.abs(scores)
-    err *= relation.err_rel
-    err += relation.err_abs
-    # a target undecided already (near a face, where its float32 score can
-    # be off by the whole jump, or not finite) is re-scored first, and the
-    # rows are compared with its float64 score, exact, so with no bound
-    exact = [t for t in targets if undecided[t]]
-    if exact:
-        exact = np.unique(exact)
-        scores[exact] = score_candidates(params, fact.relation, fact.entities, position,
-                                         None, relation.box, ids=exact)
-        err[exact] = 0.0
-        undecided[exact] = False
-    apart = np.empty_like(scores)  # how far each row lies beyond both bounds
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, so undecided
-        for t in targets:
-            np.subtract(scores, scores[t], out=apart)
-            np.abs(apart, out=apart)
-            apart -= err
-            apart -= err[t]
-            apart[t] = np.inf
-            undecided |= ~(apart > 0.0)
+    if undecided[targets].any():
+        # a target near a face, where its float32 score can be off by the
+        # whole jump, or not finite: no row is compared with it in float32
+        undecided[:] = True
+    else:
+        err = np.abs(scores)
+        err *= relation.err_rel
+        err += relation.err_abs
+        apart = np.empty_like(scores)  # how far each row lies beyond both bounds
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, so undecided
+            for t in targets:
+                np.subtract(scores, scores[t], out=apart)
+                np.abs(apart, out=apart)
+                apart -= err
+                apart -= err[t]
+                apart[t] = np.inf
+                undecided |= ~(apart > 0.0)
     if undecided.any():
         ids = np.union1d(np.flatnonzero(undecided), targets)
         scores[ids] = score_candidates(params, fact.relation, fact.entities, position,

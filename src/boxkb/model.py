@@ -60,11 +60,6 @@ SlotKey = tuple[str, int]
 GradMap = dict[SlotKey, np.ndarray]
 
 
-def bound(raw: np.ndarray) -> np.ndarray:
-    """Squash raw coordinates into (-1, 1), element-wise."""
-    return np.tanh(raw)
-
-
 @dataclass
 class ModelParams:
     vocab: Vocabulary
@@ -112,12 +107,6 @@ class ModelParams:
     def set_raw_bounds(self, slots, lo, hi) -> None:
         """Write raw bounds ``lo`` and ``hi`` at ``slots`` through ``to_corners``."""
         self.box_a[slots], self.box_b[slots] = self.to_corners(slots, lo, hi)
-
-    def set_raw_lower(self, slot: int, dim: int, value: float) -> None:
-        self.set_raw_bounds((slot, dim), value, self.raw_bounds((slot, dim))[1])
-
-    def set_raw_upper(self, slot: int, dim: int, value: float) -> None:
-        self.set_raw_bounds((slot, dim), self.raw_bounds((slot, dim))[0], value)
 
     def effective_box(self, relation: int, position: int) -> Box:
         return Box(*self.effective_bounds(int(self.slot_of[relation][position])))
@@ -300,12 +289,13 @@ def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
 
 @dataclass
 class ForwardCache:
-    """What ``backward`` needs from ``forward``: the scored rows, their final
-    points (n, B, d) (``points[p]`` is position p's) and per-position norms
-    (B, n).  Everything else is recomputed one position at a time, to keep
-    memory low.
+    """What ``backward`` needs from ``forward``: the relation's boxes (its
+    ``_box_tensors`` tuple), the scored rows, their final points (n, B, d)
+    (``points[p]`` is position p's) and per-position norms (B, n).
+    Everything else is recomputed one position at a time, to keep memory
+    low.
     """
-    relation: int
+    box: tuple
     ents: np.ndarray
     points: np.ndarray
     norms: np.ndarray
@@ -330,7 +320,7 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
             points[p, blk] = x
             norms[blk, p] = _position_norms(params, x, box, p, overwrite=True)
             block_total += norms[blk, p]
-    return total, ForwardCache(relation, ents, points, norms)
+    return total, ForwardCache(box, ents, points, norms)
 
 
 def score_candidates(params: ModelParams, relation: int, entities, position: int,
@@ -426,7 +416,7 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
     weights = np.asarray(weights, dtype=dtype)
     ents = cache.ents
     B, n = ents.shape
-    slots, lo, hi, c, w, kappa = _box_tensors(params, cache.relation, n)
+    slots, lo, hi, c, w, kappa = cache.box
     g_raw = np.empty((B, n, params.d), dtype=dtype)
     for p, x in enumerate(cache.points):
         dv, z, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],

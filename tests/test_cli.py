@@ -368,6 +368,22 @@ def test_eval_rankings_per_second_counts_rankings_not_queries(capsys, data):
     assert report["rankings_per_s"] * report["wall_ms"] / 1000 == pytest.approx(6, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_of_entities_past_float32_range_writes_no_warning(capsys, data):
+    # a finite checkpoint whose entity 2 has base and bump past float32's
+    # range: both round to inf in the ranking screen
+    params = init_params(parse_kb(data["train"], data["valid"]).vocab, 3,
+                         stream_rng(0, STREAM_INIT), bounded=False)
+    params.entity_base[2] = params.entity_bump[2] = 1e39
+    ckpt = data["tmp"] / "model.json"
+    save_checkpoint(params, ckpt)
+    code, out, err = run_main(capsys, [
+        "eval", "--checkpoint", str(ckpt), "--train", data["train"],
+        "--valid", data["valid"], "--split", "valid"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["n_facts"] == len(VALID_LINES)
+
+
 def test_eval_with_inverse_augmentation_ranks_original_relations(capsys, data):
     outdir = data["tmp"] / "run"
     assert run_main(capsys, train_argv(data, outdir, ["--augment-inverses"]))[0] == 0

@@ -1,4 +1,5 @@
 """Ranking, tie handling, filtering, and metric arithmetic."""
+import collections
 import sys
 import tracemalloc
 
@@ -674,6 +675,40 @@ def test_screen_ranks_points_on_and_near_box_faces_as_float64(norm_order):
 def test_screen_ranks_near_faces_with_the_per_dimension_branch_as_float64():
     # no jump at the faces here: the bound covers a coordinate's branch
     assert_float64_ranks(*face_case(2, per_dim_branch=True))
+
+
+@pytest.mark.parametrize("norm_order", [1, 2])
+def test_a_query_is_re_scored_in_float64_at_most_once(monkeypatch, norm_order):
+    # target 4 lies near a face, so both queries of its fact fall back to float64
+    params, kb = face_case(norm_order, per_dim_branch=False)
+    score = evaluation.score_candidates
+    calls = collections.Counter()
+
+    def counting(params, relation, entities, position, *args, **kwargs):
+        if params.entity_base.dtype == np.float64:
+            calls[relation, position, entities[:position] + entities[position + 1:]] += 1
+        return score(params, relation, entities, position, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "score_candidates", counting)
+    evaluate(params, kb, "test")
+    assert calls and max(calls.values()) == 1, calls
+    for fact in ranked_facts(kb, "test"):
+        for p in range(fact.arity):
+            calls.clear()
+            rank_fact(params, kb, fact, p, filtered=True)
+            assert max(calls.values(), default=0) <= 1, (fact, p, calls)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_screen_ranks_entities_past_float32_range_as_float64_without_a_warning():
+    # entity 2's base and bump both round to float32 inf, and their float32
+    # difference is inf - inf: its rows are non-finite, so re-scored
+    v = vocab_of(8, (2,))
+    params = init_params(v, 3, np.random.default_rng(3), bounded=False)
+    params.entity_base[2] = params.entity_bump[2] = 1e39
+    test = [Fact(0, (0, 2)), Fact(0, (2, 5)), Fact(0, (4, 1)), Fact(0, (6, 7))]
+    kb = kb_with(v, train=[Fact(0, (0, 3)), Fact(0, (2, 4))], test=test)
+    assert_float64_ranks(params, kb)
 
 
 def test_screen_ranks_a_trained_hierarchy_as_float64():

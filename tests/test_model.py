@@ -11,7 +11,7 @@ from boxkb import model
 from boxkb.evaluation import evaluate, rank_fact
 from boxkb.geometry import Box
 from boxkb.kb import Fact, KnowledgeBase, Vocabulary
-from boxkb.model import (GradBuffer, GradMap, ModelParams, backward, bound, dist,
+from boxkb.model import (GradBuffer, GradMap, ModelParams, backward, dist,
                          final_embedding, float32_entities, forward, init_params,
                          load_checkpoint, row_blocks, save_checkpoint, score,
                          score_batch, score_candidates, score_gradient)
@@ -135,11 +135,6 @@ def test_final_embedding_bounded_applies_tanh():
     pts = final_embedding(p, Fact(0, (0, 1)))
     assert np.allclose(pts, np.tanh(3.0))
     assert np.all(np.abs(pts) < 1.0)
-
-
-def test_bound_is_tanh():
-    x = np.linspace(-4, 4, 9)
-    assert np.array_equal(bound(x), np.tanh(x))
 
 
 # -- scoring ----------------------------------------------------------------
@@ -478,8 +473,8 @@ def test_set_raw_bounds_route_to_min_max_corner():
     slot = int(p.slot_of[0][0])
     p.box_a[slot] = [1.0, -1.0]
     p.box_b[slot] = [-1.0, 1.0]
-    p.set_raw_lower(slot, 0, -2.0)   # min corner on dim 0 is box_b
-    p.set_raw_upper(slot, 1, 2.0)    # max corner on dim 1 is box_b
+    p.set_raw_bounds((slot, 0), -2.0, p.raw_bounds((slot, 0))[1])  # min corner on dim 0 is box_b
+    p.set_raw_bounds((slot, 1), p.raw_bounds((slot, 1))[0], 2.0)   # max corner on dim 1 is box_b
     assert p.box_b[slot, 0] == -2.0 and p.box_a[slot, 0] == 1.0
     assert p.box_b[slot, 1] == 2.0 and p.box_a[slot, 1] == -1.0
     lo, hi = p.raw_bounds(slot)

@@ -572,7 +572,7 @@ def test_projection_growth_counts_bound_moves():
     slot_inner = int(p.slot_of[0][0])
     lo, hi = p.raw_bounds(slot_inner)
     head_slot = int(p.slot_of[1][0])
-    p.set_raw_lower(slot_inner, 0, p.raw_bounds(head_slot)[0][0] - 1.0)
+    p.set_raw_bounds((slot_inner, 0), p.raw_bounds(head_slot)[0][0] - 1.0, hi[0])
     growth = apply_projection(p, plan)
     assert growth in (1, 2)
 
