@@ -44,6 +44,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .geometry import Box, inside
 from .kb import Fact, Vocabulary
@@ -221,8 +222,8 @@ def final_embedding(params: ModelParams, fact: Fact) -> np.ndarray:
     return np.stack(list(_final_points(params, fact.entities)))
 
 
-# Bytes of one block of rows that the scorers form at a time: a block's
-# element-wise passes then stay in a core's L2 cache.
+# Bytes of one block of rows that the scorers and training's Adam step form
+# at a time: a block's element-wise passes then stay in a core's L2 cache.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -454,14 +455,19 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
     # raw_p = base_p - bump_p + sum_q bump_q: each occurrence of an entity
     # gives its base the point gradient of its position, and its bump the
     # row's total point gradient less that same term.  Segment sums: a
-    # stable sort groups the occurrences of each entity, reduceat adds them.
+    # stable sort groups the occurrences of each entity into one row of a
+    # 0/1 CSR matrix, whose product adds them left to right in occurrence
+    # order, in the entity tables' dtype.
     flat = ents.ravel()
     order = np.argsort(flat, kind="stable")
     sorted_ids = flat[order]
     starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
     rows = sorted_ids[starts]
-    g_base = np.add.reduceat(g_raw.reshape(B * n, params.d)[order], starts, axis=0)
-    g_occ = np.add.reduceat(g_raw.sum(axis=1)[order // n], starts, axis=0)
+    indptr = np.append(starts, flat.size)
+    ones = np.ones(flat.size, dtype=dtype)
+    g_base = (csr_array((ones, order, indptr), shape=(rows.size, B * n))
+              @ g_raw.reshape(B * n, params.d))
+    g_occ = csr_array((ones, order // n, indptr), shape=(rows.size, B)) @ g_raw.sum(axis=1)
     buf.base[rows] += g_base
     buf.bump[rows] += g_occ - g_base
     buf.base_touched[rows] = True

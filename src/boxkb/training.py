@@ -19,10 +19,14 @@ each Adam step copies from the masters only the rows the batch touched.
 The box tables are not copied: each call forms its boxes from the float64
 corners, and box gradients are routed to the float64 corners, so merged
 slots and containment projection need nothing more.  Batch gradients are
-plain float64 sums over examples (the learning rate absorbs scale).  Adam
-keeps dense float64 first and second moments and a step counter per row of
-each parameter table; only rows touched by a batch advance their moments
-and step counters.  ``loss`` and ``score`` stay float64.
+plain sums over examples (the learning rate absorbs scale): within a
+relation group, each entity's sum over its occurrences and each box's sum
+over the group's rows are float32, in the kernel's dtype; only the sums
+across the groups of a batch, and Adam, are float64.  Adam keeps dense
+float64 first and second moments and a step counter per row of each
+parameter table; only rows touched by a batch advance their moments and
+step counters, one cache-sized block of rows at a time.  ``loss`` and
+``score`` stay float64.
 
 All randomness derives from a single seed through named sub-streams; the
 shuffle stream is additionally keyed by epoch so changing the negative count
@@ -42,7 +46,7 @@ from scipy.special import expit, softmax
 from . import rules  # rules.apply_projection is looked up per call, so a wrapper sees it
 from .kb import Fact, KnowledgeBase, Vocabulary, group_by_relation, known_rows
 from .model import (TABLE_OF_KIND, GradBuffer, GradMap, ModelParams, SlotKey, backward,
-                    float32_entities, forward, score)
+                    float32_entities, forward, row_blocks, score)
 
 STREAM_INIT = 1
 STREAM_NEGATIVES = 2
@@ -149,33 +153,37 @@ def _grad_rows(gradients: GradBuffer | GradMap):
 
 def adam_update(opt: OptimizerState, params: ModelParams,
                 gradients: GradBuffer | GradMap, learning_rate: float) -> None:
-    """One Adam step over exactly the slots present in ``gradients``."""
-    for kind, rows, g in _grad_rows(gradients):
+    """One Adam step over exactly the slots present in ``gradients``, one
+    ``row_blocks`` block of touched rows at a time, so the gathered moment
+    rows and their temporaries stay in cache."""
+    for kind, all_rows, all_g in _grad_rows(gradients):
         param = getattr(params, TABLE_OF_KIND[kind])
         state = opt.tables.get(kind)
         if state is None:
             state = opt.tables[kind] = AdamMoments(
                 np.zeros_like(param), np.zeros_like(param),
                 np.zeros(param.shape[0], dtype=np.int64))
-        t = state.steps[rows] + 1
-        state.steps[rows] = t
-        m = state.m[rows]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        state.m[rows] = m
-        v = state.v[rows]
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        state.v[rows] = v
-        # learning_rate * m_hat / (sqrt(v_hat) + eps); m and v are copies of
-        # the state rows, so v can be overwritten
-        step = m / (1.0 - BETA1 ** t)[:, None]
-        step *= learning_rate
-        v /= (1.0 - BETA2 ** t)[:, None]
-        np.sqrt(v, out=v)
-        v += EPS
-        step /= v
-        param[rows] -= step
+        for blk in row_blocks(len(all_rows), param.itemsize * param.shape[1]):
+            rows, g = all_rows[blk], all_g[blk]
+            t = state.steps[rows] + 1
+            state.steps[rows] = t
+            m = state.m[rows]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            state.m[rows] = m
+            v = state.v[rows]
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            state.v[rows] = v
+            # learning_rate * m_hat / (sqrt(v_hat) + eps); m and v are copies
+            # of the state rows, so v can be overwritten
+            step = m / (1.0 - BETA1 ** t)[:, None]
+            step *= learning_rate
+            v /= (1.0 - BETA2 ** t)[:, None]
+            np.sqrt(v, out=v)
+            v += EPS
+            step /= v
+            param[rows] -= step
 
 
 def adversarial_loss_terms(pos_scores: np.ndarray, neg_scores: np.ndarray,

@@ -1,6 +1,7 @@
 """Scoring model: distances, final embeddings, gradients, checkpoints."""
 import base64
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,6 +324,43 @@ def test_float32_backward_matches_float64_backward(norm_order, bounded, per_dim_
                     (trial, rel, name)
             for name in ("base_touched", "bump_touched", "box_touched"):
                 assert np.array_equal(getattr(b32, name), getattr(b64, name))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_float32_backward_sums_each_entity_in_occurrence_order(arity):
+    # five entities over 30 rows, so ids repeat within rows and across them;
+    # a model with one entity per occurrence (a copy of its entity's rows)
+    # gives each occurrence's point gradient alone, exactly
+    n_e, B, d = 5, 30, 6
+    p = make_params(n_entities=n_e, arities=(arity,), d=d, seed=arity)
+    rng = np.random.default_rng(20 + arity)
+    ents = rng.integers(0, n_e, size=(B, arity))
+    weights = rng.normal(size=B)
+    flat = ents.ravel()
+    apart = replace(p, vocab=make_vocab(flat.size, (arity,)),
+                    entity_base=p.entity_base[flat], entity_bump=p.entity_bump[flat])
+
+    def float32_gradients(q: ModelParams, rows) -> GradBuffer:
+        kernel = float32_entities(q)
+        buf = GradBuffer(q)
+        backward(kernel, forward(kernel, 0, rows)[1], weights, buf)
+        return buf
+
+    got = float32_gradients(p, ents)
+    alone = float32_gradients(apart, np.arange(flat.size).reshape(B, arity))
+    terms = alone.base.astype(np.float32).reshape(B, arity, d)
+    row_totals = terms.sum(axis=1)  # backward's own sum over positions
+    base = np.zeros((n_e, d), dtype=np.float32)
+    occ = np.zeros((n_e, d), dtype=np.float32)
+    for k, e in enumerate(flat):  # left to right in occurrence order
+        base[e] += terms[k // arity, k % arity]
+        occ[e] += row_totals[k // arity]
+    assert np.bincount(flat).max() >= 3
+    for name, expect in (("base", base), ("bump", occ - base)):
+        table = getattr(got, name)
+        assert table.dtype == np.float64
+        assert np.array_equal(table.view(np.uint64),
+                              expect.astype(np.float64).view(np.uint64)), name
 
 
 @pytest.mark.parametrize("norm_order", [1, 2])

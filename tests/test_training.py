@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxkb import rules, training
+from boxkb import model, rules, training
 from boxkb.kb import Fact, KnowledgeBase, Vocabulary, fact_index, known_rows
 from boxkb.model import GradBuffer, init_params, score, score_gradient
 from boxkb.synth import random_binary_kb
@@ -251,6 +251,43 @@ def test_dense_adam_matches_per_slot_reference():
         assert np.allclose(dense.box_b, ref.box_b, rtol=0, atol=1e-12)
     for key, (_, _, t) in ref_state.items():
         assert opt.steps[key] == t
+
+
+def test_blocked_adam_equals_one_block_bytewise(monkeypatch):
+    # blocks of three 32-byte rows against one block; each step touches an
+    # uneven set of rows, so the last block of a table is often short
+    vocab = Vocabulary([f"e{i}" for i in range(40)], ["r", "s"], [2, 3])
+    counts = set()  # touched rows per table and step
+
+    def run(block_bytes: int) -> list[bytes]:
+        monkeypatch.setattr(model, "_BLOCK_BYTES", block_bytes)
+        p = init_params(vocab, 4, np.random.default_rng(3))
+        opt = OptimizerState()
+        rng = np.random.default_rng(4)
+        for _ in range(8):
+            buf = GradBuffer(p)
+            for names, touched in ((("base",), buf.base_touched),
+                                   (("bump",), buf.bump_touched),
+                                   (("boxa", "boxb"), buf.box_touched)):
+                n_rows = len(touched)
+                rows = np.flatnonzero(rng.random(n_rows) < np.linspace(0.9, 0.1, n_rows))
+                touched[rows] = True
+                counts.add(len(rows))
+                for name in names:
+                    getattr(buf, name)[rows] = rng.normal(
+                        scale=rng.choice([1e-3, 1.0, 30.0]), size=(len(rows), 4))
+            adam_update(opt, p, buf, 0.05)
+        return [a.tobytes() for a in snapshot(p)] + [
+            a.tobytes() for state in opt.tables.values()
+            for a in (state.m, state.v, state.steps)]
+
+    blocked = run(3 * 32)
+    one_block = run(1 << 30)
+    # some table took several blocks, and some last block was short
+    assert max(counts) > 3 and any(c % 3 for c in counts)
+    assert len(blocked) == len(one_block) == 4 + 3 * 4
+    for i, (got, expect) in enumerate(zip(blocked, one_block)):
+        assert got == expect, i
 
 
 # -- rng streams ----------------------------------------------------------------
