@@ -28,8 +28,8 @@ from pathlib import Path
 
 from .evaluation import evaluate, ranked_facts
 from .exact_fit import ExactFitError, TableFormatError, fit, parse_table
-from .kb import (FORMAT_TRIPLE, FORMATS, Fact, KBFormatError, KnowledgeBase,
-                 Vocabulary, augment_inverses, parse_kb)
+from .kb import (FORMAT_TRIPLE, FORMATS, SPLITS, Fact, KBFormatError,
+                 KnowledgeBase, Vocabulary, augment_inverses, parse_kb)
 from .model import init_params, load_checkpoint, save_checkpoint
 from .rules import (InconsistentRulesError, RuleError, UnsupportedRuleError,
                     box_stats, check_capture, check_tolerance,
@@ -180,26 +180,22 @@ def _load_kb(cfg: RunConfig) -> KnowledgeBase:
 
 
 def _remap_kb(kb: KnowledgeBase, vocab: Vocabulary) -> KnowledgeBase:
-    """Re-index facts into a checkpoint's vocabulary (ids may differ)."""
+    """Re-index into a checkpoint's vocabulary, by name, the facts that
+    evaluation ranks; inverse helper facts are dropped first, as they are
+    never ranked and filter only their own relations' queries."""
     def remap(fact: Fact) -> Fact:
         try:
             rel = vocab.relation_id(kb.vocab.relation_names[fact.relation],
                                     arity=fact.arity)
             ents = tuple(vocab.entity_id(kb.vocab.entity_names[e])
                          for e in fact.entities)
-        except KeyError as exc:
+        except KeyError as exc:  # str() of a KeyError quotes its message
             raise ConfigError(
-                f"dataset name missing from checkpoint vocabulary: {exc}")
+                f"dataset name missing from checkpoint vocabulary: {exc.args[0]}")
         return Fact(rel, ents)
 
-    splits = {name: tuple(remap(f) for f in kb.split(name))
-              for name in ("train", "valid", "test")}
-    known = frozenset(f for facts in splits.values() for f in facts)
-    n_scored = kb.n_scored_relations
-    if n_scored == kb.vocab.n_relations:
-        n_scored = vocab.n_relations
-    return KnowledgeBase(vocab=vocab, known=known,
-                         n_scored_relations=n_scored, **splits)
+    splits = {name: tuple(map(remap, ranked_facts(kb, name))) for name in SPLITS}
+    return KnowledgeBase(vocab, **splits, n_scored_relations=vocab.n_relations)
 
 
 def _emit(payload: dict) -> None:
@@ -325,6 +321,8 @@ def cmd_rules_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_rules_inject_check(args: argparse.Namespace) -> int:
+    if args.d < 1:
+        raise ConfigError("d must be at least 1")
     vocab = Vocabulary()
     rules = _read_rules(args.rules, vocab, create_binary=True)
     params = init_params(vocab, args.d, stream_rng(args.seed, STREAM_INIT))
@@ -387,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="test", choices=["train", "valid", "test"])
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--ks", default="1,3,10", help="comma-separated Hits@K cutoffs")
     _add_setting_flags(p, DataConfig)
     p.set_defaults(func=cmd_eval)

@@ -65,11 +65,16 @@ class TruthTable:
     truth: dict[tuple, bool]
 
     def __post_init__(self) -> None:
-        expected = set(enumerate_universe(self.vocab))
-        got = set(self.truth)
-        if got != expected:
-            missing = len(expected - got)
-            extra = len(got - expected)
+        # counted, not enumerated: the universe has |E|^arity keys per relation
+        arities = dict(enumerate(self.vocab.relation_arities))
+        entities = range(self.vocab.n_entities)
+        valid = sum(isinstance(key, tuple) and len(key) > 0
+                    and len(key) == arities.get(key[0], -1) + 1
+                    and all(e in entities for e in key[1:])
+                    for key in self.truth)
+        missing = sum(len(entities) ** n for n in arities.values()) - valid
+        extra = len(self.truth) - valid
+        if missing or extra:
             raise TableFormatError(
                 f"truth table is not total over its universe "
                 f"({missing} missing, {extra} unknown entries)")

@@ -3,8 +3,8 @@
 Entities and relations are interned to dense integer ids in first-appearance
 order (train split first, then valid, then test) so that runs over the same
 files always agree on the id layout.  Facts are immutable tuples, and a
-knowledge base keeps the frozen set of facts over the union of its splits
-for duplicate detection.
+knowledge base's known facts are the frozen union of its three splits,
+which it forms itself.
 
 "Is this entity row a known fact?" is answered here and only here:
 ``fact_index`` turns a set of facts into per-relation sorted row keys, and
@@ -115,14 +115,23 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """Three splits of facts over one vocabulary.  ``known``, the facts that
+    filtered ranking drops, is left out on construction, which forms it as
+    the union of the three splits.  ``dataclasses.replace`` passes it on, so
+    a copy that keeps one slice of a split (the benchmark ranks one test
+    fact, and trains on one slice, at a time) still knows every fact."""
     vocab: Vocabulary
     train: tuple[Fact, ...]
     valid: tuple[Fact, ...]
     test: tuple[Fact, ...]
-    known: frozenset[Fact]
     # Relations with id >= n_scored_relations are auxiliary (added by inverse
     # augmentation) and are skipped by ranking evaluation.
     n_scored_relations: int
+    known: frozenset[Fact] | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.known is None:
+            object.__setattr__(self, "known", frozenset(self.train + self.valid + self.test))
 
     @cached_property
     def known_index(self) -> dict[int, np.ndarray]:
@@ -206,7 +215,7 @@ def parse_kb(train_path: str | Path, valid_path: str | Path | None = None,
     train = _load_split(train_path, fmt, vocab, seen, "train")
     valid = _load_split(valid_path, fmt, vocab, seen, "valid")
     test = _load_split(test_path, fmt, vocab, seen, "test")
-    return KnowledgeBase(vocab, train, valid, test, frozenset(seen), vocab.n_relations)
+    return KnowledgeBase(vocab, train, valid, test, vocab.n_relations)
 
 
 def write_split(kb: KnowledgeBase, split: str, path: str | Path, fmt: str = FORMAT_TRIPLE) -> None:
@@ -275,7 +284,10 @@ def augment_inverses(kb: KnowledgeBase) -> KnowledgeBase:
     """Pair every binary fact r(a, b) with a fact of a fresh inverse relation.
 
     The inverse of relation id r is id r + R where R is the original relation
-    count.  Evaluation keeps ranking only the original relations.
+    count.  Each split gains its own facts' inverses, so the known facts
+    hold them too; ranking skips the helper relations (``n_scored_relations``
+    is R), and a query of r is filtered only by facts of r, so the helper
+    facts change no rank.
     """
     vocab = kb.vocab
     r_orig = vocab.n_relations
@@ -295,6 +307,5 @@ def augment_inverses(kb: KnowledgeBase) -> KnowledgeBase:
             out.append(Fact(f.relation + r_orig, (f.entities[1], f.entities[0])))
         return tuple(out)
 
-    train, valid, test = augmented(kb.train), augmented(kb.valid), augmented(kb.test)
-    known = frozenset(train + valid + test)
-    return KnowledgeBase(new_vocab, train, valid, test, known, r_orig)
+    return KnowledgeBase(new_vocab, augmented(kb.train), augmented(kb.valid),
+                         augmented(kb.test), r_orig)

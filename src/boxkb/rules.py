@@ -128,8 +128,8 @@ def parse_rules(path, vocab: Vocabulary, create_binary: bool = False
             rel_ids = tuple(vocab.relation_id(n, arity, create_binary)
                             for n in names)
             rule = Rule(form, rel_ids)
-        except (KeyError, RuleError) as exc:
-            raise RuleParseError(f"{path}:{lineno}: {exc}") from exc
+        except (KeyError, RuleError) as exc:  # str() of a KeyError quotes it
+            raise RuleParseError(f"{path}:{lineno}: {exc.args[0]}") from exc
         arities = {vocab.arity(r) for r in rule.relations}
         if len(arities) > 1:
             raise RuleParseError(

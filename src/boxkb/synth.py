@@ -36,7 +36,6 @@ def random_binary_kb(n_entities: int = 20, n_relations: int = 3,
         facts.add(Fact(rel, (a, b)))
     train = tuple(sorted(facts))
     return KnowledgeBase(vocab=vocab, train=train, valid=(), test=(),
-                         known=frozenset(train),
                          n_scored_relations=n_relations)
 
 
@@ -86,8 +85,6 @@ def hierarchy_ontology_kb(n_entities: int = 300,
     train = tuple(base_order[i] for i in perm[:n_train])
     valid = tuple(base_order[i] for i in perm[n_train:])
     test = tuple(closure_only)
-    known = frozenset(train) | frozenset(valid) | frozenset(test)
     kb = KnowledgeBase(vocab=vocab, train=train, valid=valid, test=test,
-                       known=known,
                        n_scored_relations=N_HIERARCHY_RELATIONS)
     return kb, hierarchy_rules()

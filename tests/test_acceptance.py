@@ -551,8 +551,7 @@ def test_ranking_metric_protocol(capsys):
     all_pairs = [Fact(0, (a, b)) for a in range(4) for b in range(4) if a != b]
     rng.shuffle(all_pairs)
     kb = KnowledgeBase(vocab=vocab, train=tuple(all_pairs[:6]), valid=(),
-                       test=tuple(all_pairs[6:9]),
-                       known=frozenset(all_pairs[:9]), n_scored_relations=1)
+                       test=tuple(all_pairs[6:9]), n_scored_relations=1)
     params = init_params(vocab, 5, stream_rng(3, STREAM_INIT))
     for fact in kb.test:
         for pos in (0, 1):

@@ -397,6 +397,20 @@ def test_eval_with_inverse_augmentation_ranks_original_relations(capsys, data):
     assert json.loads(out)["n_facts"] == len(VALID_LINES)
 
 
+def test_eval_with_inverse_augmentation_ranks_relations_by_checkpoint_id(
+        capsys, data):
+    # the data names only "likes": id 0 in the data, id 1 in the checkpoint
+    outdir = data["tmp"] / "run"
+    assert run_main(capsys, train_argv(data, outdir, ["--augment-inverses"]))[0] == 0
+    likes = write_lines(data["tmp"] / "likes.tsv", TRAIN_LINES[4:])
+    valid = write_lines(data["tmp"] / "likes_valid.tsv", ["bob\tlikes\tada"])
+    code, out, err = run_main(capsys, [
+        "eval", "--checkpoint", str(outdir / "best.json"), "--train", likes,
+        "--valid", valid, "--split", "valid", "--augment-inverses"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n_facts"] == 1
+
+
 def test_eval_rejects_a_name_the_checkpoint_lacks(capsys, data):
     test = write_lines(data["tmp"] / "test.tsv", ["ada\tknows\tzed"])
     outdir = data["tmp"] / "run"
@@ -683,6 +697,8 @@ def inputs(data):
             "bad_table": write_lines(tmp / "bad.table", [
                 "entities a b", "relation r 2", "r a 1"]),
             "bad_config": write_lines(tmp / "bad.cfg", ["bogus = 1"]),
+            "unknown_rules": write_lines(tmp / "z.rules", ["symmetry zz"]),
+            "stranger": write_lines(tmp / "stranger.tsv", ["ada\tknows\tzed"]),
             "outdir": str(tmp / "out")}
 
 
@@ -717,6 +733,14 @@ BAD_INPUTS = {
                     "bad Hits@K list"),
     "empty split": ("eval --checkpoint {ckpt} --train {train} --split test",
                     "the test split has no facts to rank"),
+    "inject-check dimension": ("rules inject-check --rules {rules} --d 0",
+                               "d must be at least 1"),
+    "rule relation name": (
+        "rules verify --rules {unknown_rules} --checkpoint {ckpt}",
+        "{unknown_rules}:1: unknown relation 'zz'\n"),
+    "eval entity name": (
+        "eval --checkpoint {ckpt} --train {train} --test {stranger}",
+        "dataset name missing from checkpoint vocabulary: unknown entity 'zed'\n"),
 }
 
 

@@ -21,9 +21,8 @@ from boxkb.training import OptimizerState, TrainConfig, train_epoch
 
 
 def kb_with(vocab, train=(), valid=(), test=()):
-    known = frozenset(train) | frozenset(valid) | frozenset(test)
     return KnowledgeBase(vocab, tuple(train), tuple(valid), tuple(test),
-                         known, vocab.n_relations)
+                         vocab.n_relations)
 
 
 def small_vocab(n_entities=4, n_relations=1):
@@ -263,7 +262,7 @@ def test_evaluate_skips_auxiliary_relations():
     v = small_vocab(4, n_relations=2)
     p = init_params(v, 3, np.random.default_rng(3))
     test = [Fact(0, (0, 1)), Fact(1, (1, 2))]
-    kb = KnowledgeBase(v, (), (), tuple(test), frozenset(test), 1)
+    kb = KnowledgeBase(v, (), (), tuple(test), 1)
     out = evaluate(p, kb, "test")
     assert out["n_facts"] == 1  # relation 1 is auxiliary
 

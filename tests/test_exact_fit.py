@@ -84,6 +84,19 @@ def test_parse_table_errors(tmp_path, content, message):
         parse_table(path)
 
 
+def test_a_table_is_checked_for_totality_without_enumerating_its_universe(
+        tmp_path, monkeypatch):
+    def enumerate_nothing(vocab):
+        raise AssertionError("the universe was enumerated")
+
+    monkeypatch.setattr("boxkb.exact_fit.enumerate_universe", enumerate_nothing)
+    path = tmp_path / "wide.txt"
+    path.write_text("entities a b\nrelation r 40\n")
+    with pytest.raises(TableFormatError,
+                       match=r"\(1099511627776 missing, 0 unknown entries\)"):
+        parse_table(path)
+
+
 @pytest.mark.parametrize("content,message", [
     ("entities a b a\nrelation r 1\nr a 1\nr b 1\n", "bad.txt:1: duplicate entity 'a'"),
     ("entities\nrelation r 1\n", "bad.txt:1: no entities listed"),

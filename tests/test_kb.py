@@ -1,4 +1,6 @@
 """Fact parsing, vocabulary interning, and split containers."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,7 +157,7 @@ def test_vocab_rejects_repeated_names_and_unpaired_arities(names, message):
 def test_augment_inverses_rejects_an_inverse_name_collision():
     fact = Fact(0, (0, 1))
     kb = KnowledgeBase(Vocabulary(["a", "b"], ["r", "r_inv"], [2, 2]),
-                       (fact,), (), (), frozenset([fact]), 2)
+                       (fact,), (), (), 2)
     with pytest.raises(KBFormatError, match="inverse relation name collision: 'r_inv'"):
         augment_inverses(kb)
 
@@ -163,7 +165,7 @@ def test_augment_inverses_rejects_an_inverse_name_collision():
 def test_augment_inverses_rejects_a_non_binary_relation():
     fact = Fact(0, (0, 1, 2))
     kb = KnowledgeBase(Vocabulary(["a", "b", "c"], ["r"], [3]),
-                       (fact,), (), (), frozenset([fact]), 1)
+                       (fact,), (), (), 1)
     with pytest.raises(KBFormatError, match="requires all relations binary"):
         augment_inverses(kb)
 
@@ -181,6 +183,16 @@ def test_fact_indexes_are_built_on_first_use_and_kept(tmp_path):
     assert kb.known_index is kb.known_index and kb.train_index is kb.train_index
 
 
+def test_known_facts_are_the_splits_and_a_replaced_copy_keeps_them():
+    a, b, c = Fact(0, (0, 1)), Fact(0, (1, 2)), Fact(0, (2, 0))
+    kb = KnowledgeBase(Vocabulary(["x", "y", "z"], ["r"], [2]), (a,), (b,), (c,), 1)
+    assert kb.known == {a, b, c}
+    # ranking one test fact of a copy still filters by every fact of the KB
+    one = dataclasses.replace(kb, train=(), test=())
+    assert one.known == {a, b, c}
+    assert np.array_equal(one.known_index[0], kb.known_index[0])
+
+
 def test_vocab_copy_is_independent():
     v = Vocabulary()
     v.entity_id("a", create=True)
@@ -190,7 +202,7 @@ def test_vocab_copy_is_independent():
 
 
 def test_split_accessor():
-    kb = KnowledgeBase(Vocabulary(), (), (), (), frozenset(), 0)
+    kb = KnowledgeBase(Vocabulary(), (), (), (), 0)
     assert kb.split("train") == ()
     with pytest.raises(KeyError):
         kb.split("dev")

@@ -190,7 +190,7 @@ def test_every_scorer_rejects_a_row_of_another_arity(scorer, entities):
     p = make_params(arities=(2,))
 
     def run(fact):
-        kb = KnowledgeBase(p.vocab, (), (), (fact,), frozenset([fact]), 1)
+        kb = KnowledgeBase(p.vocab, (), (), (fact,), 1)
         return SCORERS[scorer](p, kb, fact)
 
     run(Fact(0, (0, 1)))  # the relation's own arity scores

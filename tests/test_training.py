@@ -473,7 +473,7 @@ def test_filter_train_negatives_avoids_known_facts():
     # every pair (0, x) is a training fact, so corruptions of position 1
     # starting from (0, 1) can only collide; heads must switch instead
     train = tuple(Fact(0, (0, x)) for x in range(3))
-    kb = KnowledgeBase(v, train, (), (), frozenset(train), 1)
+    kb = KnowledgeBase(v, train, (), (), 1)
     p = init_params(v, 3, stream_rng(8, STREAM_INIT))
     stats = {}
     cfg = TrainConfig(seed=8, negatives=20, filter_train_negatives=True,
