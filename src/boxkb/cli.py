@@ -28,8 +28,8 @@ from pathlib import Path
 
 from .evaluation import evaluate, ranked_facts
 from .exact_fit import ExactFitError, TableFormatError, fit, parse_table
-from .kb import (FORMAT_TRIPLE, FORMATS, SPLITS, Fact, KBFormatError,
-                 KnowledgeBase, Vocabulary, augment_inverses, parse_kb)
+from .kb import (FORMAT_TRIPLE, FORMATS, SPLITS, KBFormatError, KnowledgeBase,
+                 Vocabulary, augment_inverses, parse_kb)
 from .model import init_params, load_checkpoint, save_checkpoint
 from .rules import (InconsistentRulesError, RuleError, UnsupportedRuleError,
                     box_stats, check_capture, check_tolerance,
@@ -54,7 +54,8 @@ class DataConfig:
     workers: int = setting(
         1, "parallel evaluation workers; they change only evaluation speed")
     augment_inverses: bool = setting(
-        False, "add an inverse relation and reversed fact per fact")
+        False, "add an inverse relation and reversed fact per fact; "
+        "eval ranks the same with or without it")
 
 
 @dataclass
@@ -171,31 +172,15 @@ def _read_rules(path: str, vocab: Vocabulary, create_binary: bool = False):
     return parse_rules(path, vocab, create_binary)
 
 
-def _load_kb(cfg: RunConfig) -> KnowledgeBase:
+def _load_kb(cfg: DataConfig, vocab: Vocabulary | None = None) -> KnowledgeBase:
+    """The data files as a knowledge base, in the ids of ``vocab`` if given
+    (a checkpoint's), where a name it lacks is an error."""
     _require("data file", cfg.train, cfg.valid, cfg.test)
-    kb = parse_kb(cfg.train, cfg.valid or None, cfg.test or None, fmt=cfg.format)
-    if cfg.augment_inverses:
-        kb = augment_inverses(kb)
-    return kb
-
-
-def _remap_kb(kb: KnowledgeBase, vocab: Vocabulary) -> KnowledgeBase:
-    """Re-index into a checkpoint's vocabulary, by name, the facts that
-    evaluation ranks; inverse helper facts are dropped first, as they are
-    never ranked and filter only their own relations' queries."""
-    def remap(fact: Fact) -> Fact:
-        try:
-            rel = vocab.relation_id(kb.vocab.relation_names[fact.relation],
-                                    arity=fact.arity)
-            ents = tuple(vocab.entity_id(kb.vocab.entity_names[e])
-                         for e in fact.entities)
-        except KeyError as exc:  # str() of a KeyError quotes its message
-            raise ConfigError(
-                f"dataset name missing from checkpoint vocabulary: {exc.args[0]}")
-        return Fact(rel, ents)
-
-    splits = {name: tuple(map(remap, ranked_facts(kb, name))) for name in SPLITS}
-    return KnowledgeBase(vocab, **splits, n_scored_relations=vocab.n_relations)
+    try:
+        return parse_kb(cfg.train, cfg.valid or None, cfg.test or None, cfg.format, vocab)
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        raise ConfigError(
+            f"dataset name missing from checkpoint vocabulary: {exc.args[0]}")
 
 
 def _emit(payload: dict) -> None:
@@ -207,6 +192,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not cfg.outdir:
         raise ConfigError("an output directory is required for training")
     kb = _load_kb(cfg)
+    if cfg.augment_inverses:
+        kb = augment_inverses(kb)
     params = init_params(kb.vocab, cfg.d, stream_rng(cfg.seed, STREAM_INIT),
                          norm_order=cfg.norm_order, bounded=cfg.bounded)
     plan = None
@@ -252,7 +239,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     params = _load_params(args.checkpoint)
-    kb = _remap_kb(_load_kb(cfg), params.vocab)
+    kb = _load_kb(cfg, params.vocab)
     ks = _parse_ks(args.ks)
     facts = ranked_facts(kb, args.split)
     if not facts:

@@ -172,12 +172,10 @@ class _Screen:
                               for t in (params.entity_base, params.entity_bump))
         self.relations = {}
         for r in set(relations):
-            box = _box_tensors(params, r, len(params.slot_of[r]))
+            n = len(params.slot_of[r])
+            box = _box_tensors(params, r, n)
             slack, err_abs, err_rel = _float32_bounds(params, box, base_max, bump_max)
-            slots, lo, hi, *shape = box
-            with np.errstate(over="ignore"):
-                box32 = (slots, *(a.astype(np.float32)
-                                  for a in (lo - slack, hi + slack, *shape)))
+            box32 = _box_tensors(self.params, r, n, slack)
             self.relations[r] = _Relation(box, box32, slack, err_abs, err_rel)
 
 

@@ -182,17 +182,17 @@ def iter_tokens(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 
 
 def _load_split(path: str | Path | None, fmt: str, vocab: Vocabulary, seen: set[Fact],
-                split_name: str) -> tuple[Fact, ...]:
+                split_name: str, create: bool) -> tuple[Fact, ...]:
     if path is None:
         return ()
     facts: list[Fact] = []
     for lineno, line in _iter_lines(path):
         rel_name, ent_names = _parse_fact_line(line, fmt, lineno, str(path))
         try:
-            rid = vocab.relation_id(rel_name, arity=len(ent_names), create=True)
+            rid = vocab.relation_id(rel_name, arity=len(ent_names), create=create)
         except KBFormatError as exc:
             raise KBFormatError(f"{path}:{lineno}: {exc}") from exc
-        fact = Fact(rid, tuple(vocab.entity_id(n, create=True) for n in ent_names))
+        fact = Fact(rid, tuple(vocab.entity_id(n, create=create) for n in ent_names))
         if fact in seen:
             raise KBFormatError(f"{path}:{lineno}: duplicate fact in {split_name} split")
         seen.add(fact)
@@ -201,8 +201,14 @@ def _load_split(path: str | Path | None, fmt: str, vocab: Vocabulary, seen: set[
 
 
 def parse_kb(train_path: str | Path, valid_path: str | Path | None = None,
-             test_path: str | Path | None = None, fmt: str = FORMAT_TRIPLE) -> KnowledgeBase:
+             test_path: str | Path | None = None, fmt: str = FORMAT_TRIPLE,
+             vocab: Vocabulary | None = None) -> KnowledgeBase:
     """Parse up to three split files into a knowledge base.
+
+    Names are interned into a fresh vocabulary, or, given ``vocab``, looked
+    up in it: a name it lacks raises its ``KeyError``, and a fact of another
+    arity than its relation's a ``KBFormatError`` naming the file and line.
+    Every relation is scored.
 
     Duplicates within a split are an error; a fact may legitimately appear in
     more than one split only if the files say so -- we treat cross-split
@@ -210,11 +216,13 @@ def parse_kb(train_path: str | Path, valid_path: str | Path | None = None,
     """
     if fmt not in FORMATS:
         raise KBFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    vocab = Vocabulary()
+    create = vocab is None
+    if create:
+        vocab = Vocabulary()
     seen: set[Fact] = set()
-    train = _load_split(train_path, fmt, vocab, seen, "train")
-    valid = _load_split(valid_path, fmt, vocab, seen, "valid")
-    test = _load_split(test_path, fmt, vocab, seen, "test")
+    train = _load_split(train_path, fmt, vocab, seen, "train", create)
+    valid = _load_split(valid_path, fmt, vocab, seen, "valid", create)
+    test = _load_split(test_path, fmt, vocab, seen, "test", create)
     return KnowledgeBase(vocab, train, valid, test, vocab.n_relations)
 
 

@@ -260,24 +260,33 @@ def _check_arity(slots: np.ndarray, n_positions: int) -> None:
         raise ValueError("fact arity does not match relation arity")
 
 
-def _box_tensors(params: ModelParams, relation: int, n_positions: int):
+def _box_tensors(params: ModelParams, relation: int, n_positions: int,
+                 slack: float = 0.0):
     """The boxes of ``relation`` for rows of ``n_positions`` entities, in the
-    entity tables' dtype, or ValueError unless that is the relation's arity."""
+    entity tables' dtype, or ValueError unless that is the relation's arity.
+    With ``slack`` each face is moved out by it; the center, width and
+    kappa stay those of the box itself.  A value past the dtype's range
+    becomes inf, as in ``float32_entities``."""
     slots = params.slot_of[relation]
     _check_arity(slots, n_positions)
     lo, hi = params.effective_bounds(slots)
+    shape = _box_shape(lo, hi)
+    if slack:
+        lo, hi = lo - slack, hi + slack
     dtype = params.entity_base.dtype  # formed in float64, then rounded once
-    return (slots, *(np.asarray(a, dtype=dtype) for a in (lo, hi, *_box_shape(lo, hi))))
+    with np.errstate(over="ignore"):
+        return (slots, *(np.asarray(a, dtype=dtype) for a in (lo, hi, *shape)))
 
 
 def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
-                    overwrite: bool = False, face_gap=None) -> np.ndarray:
+                    face_gap=None) -> np.ndarray:
     """Norm of the distance of each point of ``x`` (B, d) to box ``p`` of
-    ``box`` (a ``_box_tensors`` tuple); ``overwrite`` as in ``_distance``,
-    ``face_gap`` as in ``score_candidates``."""
+    ``box`` (a ``_box_tensors`` tuple), formed in ``x``'s buffer (``x`` is
+    given up, as with ``_distance``'s ``overwrite``); ``face_gap`` as in
+    ``score_candidates``."""
     _, lo, hi, c, w, kappa = box
     dv, _, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],
-                                 params.per_dim_branch, overwrite)
+                                 params.per_dim_branch, overwrite=True)
     if face_gap is not None:
         rows = np.flatnonzero(branch[:, 0])
         if rows.size:
@@ -319,7 +328,7 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
         block_total = total[blk]
         for p, x in enumerate(_final_points(params, ents[blk].T)):
             points[p, blk] = x
-            norms[blk, p] = _position_norms(params, x, box, p, overwrite=True)
+            norms[blk, p] = _position_norms(params, x, box, p)
             block_total += norms[blk, p]
     return total, ForwardCache(box, ents, points, norms)
 
@@ -361,7 +370,7 @@ def score_candidates(params: ModelParams, relation: int, entities, position: int
         gap = None if face_gap is None else face_gap[blk]
         block_total = total[blk]
         for q, x in enumerate(points):
-            block_total += _position_norms(params, x, box, q, overwrite=True, face_gap=gap)
+            block_total += _position_norms(params, x, box, q, face_gap=gap)
     return total
 
 

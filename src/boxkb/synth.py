@@ -6,10 +6,9 @@ so only a model that generalizes through the hierarchy can rank them well.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .kb import Fact, KnowledgeBase, Vocabulary
 from .rules import HIERARCHY, Rule, deductive_closure
+from .training import stream_rng
 
 # Three-level ontology over eight binary relations: leaves r0..r3, mid-level
 # r4 (over r0, r1) and r5 (over r2, r3), tops r6 (over r4, r5) and r7 (over r4).
@@ -26,7 +25,7 @@ def _make_vocab(n_entities: int, n_relations: int) -> Vocabulary:
 def random_binary_kb(n_entities: int = 20, n_relations: int = 3,
                      n_facts: int = 100, seed: int = 0) -> KnowledgeBase:
     """n_facts distinct random binary facts, all in the training split."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed % (1 << 64), 7]))
+    rng = stream_rng(seed, 7)
     vocab = _make_vocab(n_entities, n_relations)
     facts: set[Fact] = set()
     while len(facts) < n_facts:
@@ -58,7 +57,7 @@ def hierarchy_ontology_kb(n_entities: int = 300,
     direct assertions than leaves, as in a real ontology where general
     relations are mostly populated by inference.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed % (1 << 64), 11]))
+    rng = stream_rng(seed, 11)
     vocab = _make_vocab(n_entities, N_HIERARCHY_RELATIONS)
     anc: dict[int, set[int]] = {r: set() for r in range(N_HIERARCHY_RELATIONS)}
     for rule in deductive_closure(hierarchy_rules()):

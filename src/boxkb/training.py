@@ -314,10 +314,11 @@ def train_epoch(params: ModelParams, optimizer: OptimizerState,
                     "facts": [[f.relation, list(f.entities)] for f in batch[:8]],
                 })
         adam_update(optimizer, params, buf, config.learning_rate)
-        for name, touched in (("entity_base", buf.base_touched),
-                              ("entity_bump", buf.bump_touched)):
-            rows = np.flatnonzero(touched)
-            getattr(kernel, name)[rows] = getattr(params, name)[rows]
+        with np.errstate(over="ignore"):  # rounded as float32_entities rounds
+            for name, touched in (("entity_base", buf.base_touched),
+                                  ("entity_bump", buf.bump_touched)):
+                rows = np.flatnonzero(touched)
+                getattr(kernel, name)[rows] = getattr(params, name)[rows]
         if projection_plan is not None:
             growth += rules.apply_projection(params, projection_plan)
         total_loss += batch_loss

@@ -411,6 +411,35 @@ def test_eval_with_inverse_augmentation_ranks_relations_by_checkpoint_id(
     assert json.loads(out)["n_facts"] == 1
 
 
+def test_eval_ranks_the_same_with_or_without_augment_inverses(capsys, data):
+    # inverse helper facts are never ranked and filter no ranked query, so
+    # the flag changes nothing for eval, on checkpoints trained with and
+    # without it, and n-ary data, which augmentation rejects, is ranked
+    def report(argv):
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (0, ""), err
+        out = json.loads(out)
+        del out["wall_ms"], out["rankings_per_s"]
+        return out
+
+    for train_extra in ([], ["--augment-inverses"]):
+        outdir = data["tmp"] / f"run{len(train_extra)}"
+        assert run_main(capsys, train_argv(data, outdir, train_extra))[0] == 0
+        for split in ("train", "valid"):
+            argv = ["eval", "--checkpoint", str(outdir / "best.json"),
+                    "--train", data["train"], "--valid", data["valid"],
+                    "--split", split]
+            assert report(argv + ["--augment-inverses"]) == report(argv)
+    nary = write_lines(data["tmp"] / "nary.tsv", ["r\ta\tb\tc", "r\tb\tc\ta"])
+    ckpt = data["tmp"] / "nary.json"
+    vocab = parse_kb(nary, fmt="tsv-nary").vocab
+    save_checkpoint(init_params(vocab, 3, stream_rng(0, STREAM_INIT)), ckpt)
+    argv = ["eval", "--checkpoint", str(ckpt), "--train", nary,
+            "--format", "tsv-nary", "--split", "train"]
+    ranked = report(argv + ["--augment-inverses"])
+    assert ranked == report(argv) and ranked["n_facts"] == 2
+
+
 def test_eval_rejects_a_name_the_checkpoint_lacks(capsys, data):
     test = write_lines(data["tmp"] / "test.tsv", ["ada\tknows\tzed"])
     outdir = data["tmp"] / "run"
@@ -788,7 +817,7 @@ def test_eval_rejects_data_facts_of_another_arity(capsys, tmp_path):
     code, out, err = run_main(capsys, ["eval", "--checkpoint", str(ckpt),
                                        "--train", binary, "--split", "train"])
     assert (code, out) == (1, "")
-    assert err == ("error: relation 'r' used with arity 2, "
+    assert err == (f"error: {binary}:1: relation 'r' used with arity 2, "
                    "previously seen with arity 3\n")
 
 

@@ -32,3 +32,15 @@ def test_script_runs_and_reports_one_json_line(name, args):
     if name == "rule_injection_benefit.py":
         # the injected model still captures every rule after training
         assert [s["rules_captured"] for s in lines[0]["seeds"]] == [True]
+
+
+def test_code_lines_counts_code_outside_docstrings(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\nover two lines."""\n'
+        "# a comment\n"
+        "\n"
+        "x = 1\n"
+        "y = x  # a trailing comment\n", encoding="utf-8")
+    code, lines = run_script("code_lines.py", str(tmp_path))
+    assert code == 0 and len(lines) == 1
+    assert lines[0]["total"] == 2 and lines[0]["modules"] == {"mod.py": 2}

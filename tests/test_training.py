@@ -538,6 +538,19 @@ def test_float32_entity_tables_stay_in_step_with_the_masters(monkeypatch):
     assert not np.array_equal(before[0], p.entity_base)
 
 
+def test_refreshing_an_entity_past_float32_range_writes_no_warning():
+    # entity 0's base is finite in float64 but past float32's range: the
+    # epoch-start copy rounds it to inf without a warning, and so must the
+    # copy of the rows each Adam step moved (the suite turns warnings into
+    # errors)
+    kb = random_binary_kb(n_entities=6, n_relations=1, n_facts=12, seed=13)
+    p = init_params(kb.vocab, 3, stream_rng(13, STREAM_INIT))
+    p.entity_base[0] = 1e39
+    assert any(0 in f.entities for f in kb.train)
+    train_epoch(p, OptimizerState(), kb, TrainConfig(seed=13, batch_size=4))
+    assert p.entity_base[0, 0] == 1e39
+
+
 def test_train_model_checkpoint_cadence():
     kb = random_binary_kb(n_entities=6, n_relations=1, n_facts=10, seed=9)
     p = init_params(kb.vocab, 3, stream_rng(9, STREAM_INIT))
