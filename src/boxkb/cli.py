@@ -257,7 +257,7 @@ def _load_params(path: str):
     _require("checkpoint", path)
     try:
         return load_checkpoint(path)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"cannot load checkpoint: {exc}") from exc
 
 

@@ -32,26 +32,30 @@ can lie from the float64 one (a priori rounding-error analysis, as in
 Higham, *Accuracy and Stability of Numerical Algorithms*, 2002): through
 the input rounding, the n-term bump sum, numpy's float32 tanh, the
 distance pieces, the d-term norm and the sum over positions, padded by a
-fixed factor.  A candidate is undecided if its float32 score lies within
-both bounds of a target's, if its score is not finite, or, under the
-whole-point branch where the score jumps at the box boundary, if one of
-its points lies within ``slack`` of a box face.  A query with a target
-the screen cannot decide (near a face, where its float32 score can be off
-by the whole jump, or not finite) is ranked in float64 whole.  Otherwise
-every other candidate compares with every target the same way in float32
-as in float64, and never ties.  The undecided rows and the targets are
-re-scored by one ``score_candidates`` call on the float64 tables, on an id
-array (bitwise the values it gives among all |E|), and the ranks are
-counted on the float32 scores with those rows replaced: exactly the
-float64 ranks.  When no row is undecided the float64 pass is skipped.
+fixed factor.  A candidate is undecided if its score is not finite or,
+under the whole-point branch where the score jumps at the box boundary, if
+one of its points lies within ``slack`` of a box face; one error test
+settles every other row, which is undecided if its float32 score lies
+within both bounds of a target's.  An undecided row's bound is taken as
+infinite, so it lies apart from no target, and a target the screen cannot
+place (near a face, where its float32 score can be off by the whole jump,
+or not finite) lies apart from no row, so its query is ranked in float64
+whole.  Every other row compares with every target the same way in
+float32 as in float64, and never ties.  The undecided rows and the
+targets are re-scored by one ``score_candidates`` call on the float64
+tables, on an id array (bitwise the values it gives among all |E|), and
+the ranks are counted on the float32 scores with those rows replaced:
+exactly the float64 ranks.  When no row is undecided the float64 pass is skipped.
 Non-finite parameters make every bound non-finite, so every row is
 re-scored.
 
-The filter tests the candidate rows, one block at a time, with
-``kb.known_rows`` against the knowledge base's ``known_index`` (the
-membership test that training uses to filter negatives), which it builds
-on first use and keeps, so every ``evaluate`` and ``rank_fact`` call shares
-one index.  No query holds all (E, n) candidate rows at once.
+The filter of a query is the set of entities that complete it into a known
+fact.  ``kb.known_answers`` reads them off the query relation's keys in the
+knowledge base's ``known_index``, a ``kb.fact_index`` like the one training
+filters negatives through, which the knowledge base builds on first use and
+keeps, so every ``evaluate`` and ``rank_fact`` call shares one index.  The
+filter costs one pass over the relation's known facts, and no candidate
+rows are built.
 
 The unit of work is one distinct query, keyed by (relation, position, other
 entities): facts that differ only at the ranked position pose the same
@@ -73,9 +77,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kb import Fact, KnowledgeBase, known_rows
-from .model import (ModelParams, _box_tensors, float32_entities, row_blocks,
-                    score_candidates)
+from .kb import Fact, KnowledgeBase, known_answers
+from .model import ModelParams, _box_tensors, float32_entities, score_candidates
 
 
 def rank_from_scores(scores: np.ndarray, target: int,
@@ -196,52 +199,40 @@ def _candidate_scores(params: ModelParams, fact: Fact, position: int,
     return scores, undecided
 
 
-def _known_candidates(index: dict[int, np.ndarray], fact: Fact, position: int,
-                      n_e: int) -> np.ndarray:
-    """(E,) mask of the rows substituting every entity at ``position`` that
-    are facts in ``index``, tested one ``row_blocks`` block of rows at a time."""
-    known = np.empty(n_e, dtype=bool)
-    row = np.array(fact.entities, dtype=np.int64)
-    for blk in row_blocks(n_e, row.nbytes):
-        rows = np.tile(row, (blk.stop - blk.start, 1))
-        rows[:, position] = np.arange(blk.start, blk.stop)
-        known[blk] = known_rows(index, fact.relation, rows)
-    return known
-
-
 def _query_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
                  position: int, targets: list[int],
                  screen: _Screen) -> list[tuple[int, int]]:
     """(raw, filtered) rank of each of ``targets`` at ``position`` of the query
     ``fact`` poses there, from one score vector and one filter mask; the
-    filter drops the candidates that are facts in ``index``, a
-    ``kb.fact_index``.  The scores are ``screen``'s float32 ones, with the
-    rows it cannot decide re-scored in float64."""
+    filter drops the candidates that complete the query into a fact in
+    ``index``, a ``kb.fact_index``.  The scores are ``screen``'s float32
+    ones, with the rows it cannot decide re-scored in float64."""
     scores, undecided = _candidate_scores(params, fact, position, screen)
     relation = screen.relations[fact.relation]
     scores = scores.astype(np.float64)
-    if undecided[targets].any():
-        # a target near a face, where its float32 score can be off by the
-        # whole jump, or not finite: no row is compared with it in float32
-        undecided[:] = True
-    else:
-        err = np.abs(scores)
-        err *= relation.err_rel
-        err += relation.err_abs
-        apart = np.empty_like(scores)  # how far each row lies beyond both bounds
-        with np.errstate(invalid="ignore"):  # inf - inf: NaN, so undecided
-            for t in targets:
-                np.subtract(scores, scores[t], out=apart)
-                np.abs(apart, out=apart)
-                apart -= err
-                apart -= err[t]
-                apart[t] = np.inf
-                undecided |= ~(apart > 0.0)
+    err = np.abs(scores)
+    err *= relation.err_rel
+    err += relation.err_abs
+    # an undecided row lies apart from no target, and an undecided target
+    # (near a face, where its float32 score can be off by the whole jump,
+    # or not finite) from no row
+    err[undecided] = np.inf
+    apart = np.empty_like(scores)  # how far each row lies beyond both bounds
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, so undecided
+        for t in targets:
+            np.subtract(scores, scores[t], out=apart)
+            np.abs(apart, out=apart)
+            apart -= err
+            apart -= err[t]
+            apart[t] = np.inf
+            undecided |= ~(apart > 0.0)
     if undecided.any():
-        ids = np.union1d(np.flatnonzero(undecided), targets)
+        undecided[targets] = True
+        ids = np.flatnonzero(undecided)
         scores[ids] = score_candidates(params, fact.relation, fact.entities, position,
                                        None, relation.box, ids=ids)
-    include = ~_known_candidates(index, fact, position, scores.shape[0])
+    include = np.ones(scores.shape[0], dtype=bool)
+    include[known_answers(index, fact.relation, fact.entities, position)] = False
     return [(rank_from_scores(scores, t, None), rank_from_scores(scores, t, include))
             for t in targets]
 

@@ -7,8 +7,9 @@ knowledge base's known facts are the frozen union of its three splits,
 which it forms itself.
 
 "Is this entity row a known fact?" is answered here and only here:
-``fact_index`` turns a set of facts into per-relation sorted row keys, and
-``known_rows`` tests a whole array of candidate rows against it at once.
+``fact_index`` turns a set of facts into per-relation sorted row keys,
+``known_rows`` tests a whole array of candidate rows against it at once, and
+``known_answers`` reads one query's known answers off the same keys.
 Training filters negatives through a knowledge base's ``train_index``, and
 ranking evaluation drops known candidates through its ``known_index``; each
 is a ``fact_index`` the knowledge base builds on first use and keeps.
@@ -131,7 +132,9 @@ class KnowledgeBase:
 
     def __post_init__(self) -> None:
         if self.known is None:
-            object.__setattr__(self, "known", frozenset(self.train + self.valid + self.test))
+            # a frozenset copied from a set is sized to its facts; one filled
+            # from a tuple keeps the table it grew into, up to twice as large
+            object.__setattr__(self, "known", frozenset({*self.train, *self.valid, *self.test}))
 
     @cached_property
     def known_index(self) -> dict[int, np.ndarray]:
@@ -274,6 +277,23 @@ def known_rows(index: dict[int, np.ndarray], relation: int,
     keys = _row_keys(rows)
     at = np.minimum(np.searchsorted(known, keys), known.size - 1)
     return known[at] == keys
+
+
+def known_answers(index: dict[int, np.ndarray], relation: int,
+                  entities: tuple[int, ...], position: int) -> np.ndarray:
+    """The int64 entities that, put at ``position`` of ``entities``, make a
+    fact of ``relation`` in ``index``, a ``fact_index``: its rows of that
+    relation, read back from their keys, that equal ``entities`` at every
+    other position.  Empty for a relation the index does not hold."""
+    keys = index.get(relation)
+    if keys is None:
+        return np.empty(0, dtype=np.int64)
+    rows = keys.view(np.int64).reshape(keys.size, len(entities))
+    match = np.ones(keys.size, dtype=bool)
+    for p, entity in enumerate(entities):
+        if p != position:
+            match &= rows[:, p] == entity
+    return rows[match, position]
 
 
 def corrupt(fact: Fact, position: int, replacement: int) -> Fact:

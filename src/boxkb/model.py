@@ -554,12 +554,20 @@ def _checked_table(table, n_rows: int, d: int, what: str) -> np.ndarray:
     return table
 
 
+class _Fields(dict):
+    """A JSON object of a checkpoint: a field it lacks is a ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"checkpoint has no {key} field")
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a version 2 or version 1 checkpoint, or raise ValueError.
 
-    Both versions are rejected unless the entity and relation names are
-    lists of strings, each relation has a positive int arity, ``d`` is a
-    positive int, ``norm_order`` is the int 1 or 2, ``bounded`` and
+    Both versions are rejected unless every field they need is there (a
+    missing one is named), the entity and relation names are lists of
+    strings, each relation has a positive int arity, ``d`` is a positive
+    int, ``norm_order`` is the int 1 or 2, ``bounded`` and
     ``per_dim_branch`` are bools, every table has the right shape and every
     value is finite.  A version 1 file (per-relation float lists, no slot
     map) also needs ``relation_boxes`` to be a list of {corner_a, corner_b}
@@ -568,7 +576,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     relation's ``slot_of`` row to hold one int in [0, n_slots) per position.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, object_hook=_Fields)
     version = payload.get("version") if isinstance(payload, dict) else None
     read_tables = ({1: _v1_tables, 2: _v2_tables}.get(version)
                    if type(version) is int else None)
@@ -655,14 +663,10 @@ def _v1_tables(payload: dict, vocab: Vocabulary, d: int) -> dict:
         if len(ca) != arity or len(cb) != arity:
             raise ValueError(f"relation {name!r} of arity {arity} has "
                              f"{len(ca)} and {len(cb)} box corners")
-    rows = {corner: [row for rel in boxes for row in rel[corner]]
-            for corner in ("corner_a", "corner_b")}
     slot_of, n_slots = fresh_slots(vocab.relation_arities)
-    n_e = vocab.n_entities
-    return {
-        "entity_base": _checkpoint_table(payload["entity_base"], n_e, d, "entity_base"),
-        "entity_bump": _checkpoint_table(payload["entity_bump"], n_e, d, "entity_bump"),
-        "box_a": _checkpoint_table(rows["corner_a"], n_slots, d, "corner_a"),
-        "box_b": _checkpoint_table(rows["corner_b"], n_slots, d, "corner_b"),
-        "slot_of": slot_of,
-    }
+    tables = {name: _checkpoint_table(payload[name], vocab.n_entities, d, name)
+              for name in ("entity_base", "entity_bump")}
+    for name, corner in (("box_a", "corner_a"), ("box_b", "corner_b")):
+        rows = [row for rel in boxes for row in rel[corner]]
+        tables[name] = _checkpoint_table(rows, n_slots, d, corner)
+    return {**tables, "slot_of": slot_of}

@@ -521,6 +521,35 @@ def test_malformed_v1_checkpoint_is_an_error_line(capsys, data, key, value, comm
     assert "error: cannot load checkpoint: " in err
 
 
+def _v2_payload(tmp_path):
+    v = Vocabulary(["a", "b"], ["r"], [2])
+    save_checkpoint(init_params(v, 2, np.random.default_rng(0)), tmp_path / "v2.json")
+    return json.loads((tmp_path / "v2.json").read_text())
+
+
+# every field but the version and the optional per_dim_branch, per version
+MISSING_FIELDS = [
+    *((1, key) for key in V1_PAYLOAD if key not in ("version", "per_dim_branch")),
+    *((2, key) for key in ("entities", "relations", "arities", "d", "n_slots",
+                           "norm_order", "bounded", "slot_of", "entity_base",
+                           "entity_bump", "box_a", "box_b"))]
+
+
+@pytest.mark.parametrize("version,key", MISSING_FIELDS)
+def test_a_checkpoint_missing_a_field_names_it(capsys, tmp_path, version, key):
+    payload = V1_PAYLOAD if version == 1 else _v2_payload(tmp_path)
+    assert key in payload
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+    message = f"checkpoint has no {key} field"
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(ckpt)
+    assert str(exc.value) == message
+    code, out, err = run_main(capsys, ["box-stats", "--checkpoint", str(ckpt)])
+    assert code == 1 and out == ""
+    assert err == f"error: cannot load checkpoint: {message}\n"
+
+
 # -- fit-exact subcommand --
 
 

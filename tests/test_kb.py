@@ -1,5 +1,6 @@
 """Fact parsing, vocabulary interning, and split containers."""
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from boxkb.kb import (FORMAT_NARY, FORMAT_TRIPLE, Fact, KBFormatError,
                       KnowledgeBase, Vocabulary, augment_inverses, corrupt,
-                      fact_index, iter_tokens, parse_kb, write_split)
+                      fact_index, iter_tokens, known_answers, parse_kb,
+                      write_split)
+from boxkb.synth import random_binary_kb
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
 
@@ -191,6 +194,42 @@ def test_known_facts_are_the_splits_and_a_replaced_copy_keeps_them():
     one = dataclasses.replace(kb, train=(), test=())
     assert one.known == {a, b, c}
     assert np.array_equal(one.known_index[0], kb.known_index[0])
+
+
+def test_the_known_set_is_no_larger_than_a_copied_one():
+    # a frozenset filled while it grows keeps up to twice the table it needs
+    kb = random_binary_kb(n_entities=2000, n_relations=20, n_facts=20_040)
+    assert len(kb.known) == 20_040
+    assert sys.getsizeof(kb.known) <= sys.getsizeof(frozenset(set(kb.known)))
+
+
+def test_known_answers_match_a_loop_over_the_known_facts():
+    rng = np.random.default_rng(3)
+    n_e = 6
+    arities = [1, 2, 3, 4, 2]  # the last relation has no facts
+    facts = {Fact(2, (1, 1, 1))}  # a row that repeats an entity
+    for rel, arity in enumerate(arities[:-1]):
+        for _ in range(40):
+            facts.add(Fact(rel, tuple(int(e) for e in rng.integers(0, n_e, arity))))
+    kb = KnowledgeBase(Vocabulary([f"e{i}" for i in range(n_e)],
+                                  [f"r{r}" for r in range(len(arities))], arities),
+                       tuple(sorted(facts)), (), (), len(arities))
+    index = kb.known_index
+    assert len(arities) - 1 not in index
+    for rel, arity in enumerate(arities):
+        # every known row, and as many random rows, mostly unknown
+        rows = [f.entities for f in kb.known if f.relation == rel]
+        rows += [tuple(int(e) for e in rng.integers(0, n_e, arity)) for _ in range(40)]
+        for ents in rows:
+            for pos in range(arity):
+                got = known_answers(index, rel, ents, pos)
+                assert got.dtype == np.int64
+                want = [f.entities[pos] for f in kb.known if f.relation == rel
+                        and all(f.entities[p] == e for p, e in enumerate(ents) if p != pos)]
+                assert sorted(got.tolist()) == sorted(want), (rel, ents, pos)
+    empty = known_answers(index, len(arities) - 1, (0, 1), 0)
+    assert empty.dtype == np.int64 and empty.size == 0
+    assert known_answers(index, 99, (0,), 0).size == 0
 
 
 def test_vocab_copy_is_independent():
