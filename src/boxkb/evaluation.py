@@ -57,14 +57,19 @@ keeps, so every ``evaluate`` and ``rank_fact`` call shares one index.  The
 filter costs one pass over the relation's known facts, and no candidate
 rows are built.
 
-The unit of work is one distinct query, keyed by (relation, position, other
-entities): facts that differ only at the ranked position pose the same
-query, and neither the candidate scores nor the filter depend on the
-target.  ``evaluate`` groups its rankings by key and, key by key in sorted
-order (one query per worker live at a time), forms one score vector and one
-filter mask and ranks every target of the query from them.  With several
-workers, each takes one strided shard of the sorted keys, so the pool's
-bookkeeping does not grow with the query count.
+The unit of work is one point group: the distinct queries with the same
+(position, other entities), which differ only in relation.  Facts that
+differ only at the ranked position pose the same query, and neither the
+candidate scores nor the filter depend on the target; and a final point
+depends on the entities alone, so the queries of a group (a held-out fact
+that holds in several ancestor relations poses one per relation) ask for
+the same candidate points.  ``evaluate`` groups its rankings by that key
+and, group by group in sorted order (one group per worker live at a time),
+forms each block's float32 points once (``model.score_point_group``); each
+relation of the group then takes its own distances, screen, float64
+re-score, filter mask and ranks, so every rank is the one the query gets
+alone.  With several workers, each takes one strided shard of the sorted
+groups, so the pool's bookkeeping does not grow with the query count.
 
 Ranks are integers written back into their canonical (fact, position) slots
 before any averaging, so metrics cannot depend on query order, on the
@@ -78,19 +83,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .kb import Fact, KnowledgeBase, known_answers
-from .model import ModelParams, _box_tensors, float32_entities, score_candidates
+from .model import (ModelParams, _box_tensors, float32_entities, score_candidates,
+                    score_point_group)
 
 
 def rank_from_scores(scores: np.ndarray, target: int,
                      include: np.ndarray | None = None) -> int:
     """Mean-rank position of ``scores[target]`` among included candidates."""
     s = np.asarray(scores, dtype=np.float64)
-    mask = np.ones(s.shape[0], dtype=bool) if include is None else include.copy()
-    mask[target] = True
     t = s[target]
-    better = int(((s < t) & mask).sum())
-    ties = int(((s == t) & mask).sum()) - 1  # other candidates tied with target
-    return 1 + better + (ties + 1) // 2
+    better, ties = s < t, s == t
+    if include is not None:
+        better &= include
+        ties &= include
+    # other candidates tied with the target: an excluded target is not counted
+    n_ties = int(np.count_nonzero(ties)) - (include is None or bool(include[target]))
+    return 1 + int(np.count_nonzero(better)) + (n_ties + 1) // 2
 
 
 _U = 2.0 ** -24          # float32 unit roundoff: one rounding's relative error
@@ -183,58 +191,81 @@ class _Screen:
 
 
 def _candidate_scores(params: ModelParams, fact: Fact, position: int,
-                      screen: _Screen) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 scores of the |E| rows substituting every entity at
-    ``position``, and the rows no target can decide: a non-finite score, or
-    under the whole-point branch a point within ``slack`` of a box face."""
-    relation = screen.relations[fact.relation]
+                      screen: _Screen, relations=None) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 scores (k, |E|) of the |E| rows substituting every entity at
+    ``position`` of ``fact``, under each of the k ``relations`` (default:
+    the fact's own), and the rows no target can decide: a non-finite score,
+    or under the whole-point branch a point within ``slack`` of a box face."""
+    relations = [fact.relation] if relations is None else relations
+    group = [screen.relations[r] for r in relations]
     face_gap = (None if params.per_dim_branch
-                else np.full(params.entity_base.shape[0], np.inf, dtype=np.float32))
+                else np.full((len(group), params.entity_base.shape[0]), np.inf,
+                             dtype=np.float32))
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are re-scored
-        scores = score_candidates(screen.params, fact.relation, fact.entities, position,
-                                  screen.base_less_bump, relation.box32, face_gap)
+        scores = score_point_group(screen.params, relations, fact.entities, position,
+                                   screen.base_less_bump, [r.box32 for r in group],
+                                   face_gap)
     undecided = ~np.isfinite(scores)
     if face_gap is not None:
-        undecided |= ~(face_gap > relation.slack)
+        for k, relation in enumerate(group):
+            undecided[k] |= ~(face_gap[k] > relation.slack)
     return scores, undecided
+
+
+def _group_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
+                 position: int, targets: dict[int, list[int]],
+                 screen: _Screen) -> list[list[tuple[int, int]]]:
+    """For each relation of ``targets`` (relation -> target entities), in
+    its order, the (raw, filtered) rank of each of its targets at
+    ``position`` of the query that ``fact``'s entities pose there under
+    that relation.  The queries share their candidate points, so one
+    ``_candidate_scores`` call scores them all; each query is then ranked
+    from its own score vector and filter mask.  The filter drops the
+    candidates that complete the query into a fact in ``index``, a
+    ``kb.fact_index``.  The scores are ``screen``'s float32 ones, with the
+    rows it cannot decide re-scored in float64."""
+    all_scores, all_undecided = _candidate_scores(params, fact, position, screen,
+                                                  list(targets))
+    out = []
+    for (r, query_targets), scores, undecided in zip(targets.items(), all_scores,
+                                                     all_undecided):
+        relation = screen.relations[r]
+        scores = scores.astype(np.float64)
+        err = np.abs(scores)
+        err *= relation.err_rel
+        err += relation.err_abs
+        # an undecided row lies apart from no target, and an undecided target
+        # (near a face, where its float32 score can be off by the whole jump,
+        # or not finite) from no row
+        err[undecided] = np.inf
+        apart = np.empty_like(scores)  # how far each row lies beyond both bounds
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, so undecided
+            for t in query_targets:
+                np.subtract(scores, scores[t], out=apart)
+                np.abs(apart, out=apart)
+                apart -= err
+                apart -= err[t]
+                apart[t] = np.inf
+                undecided |= ~(apart > 0.0)
+        if undecided.any():
+            undecided[query_targets] = True
+            ids = np.flatnonzero(undecided)
+            scores[ids] = score_candidates(params, r, fact.entities, position,
+                                           None, relation.box, ids=ids)
+        include = np.ones(scores.shape[0], dtype=bool)
+        include[known_answers(index, r, fact.entities, position)] = False
+        out.append([(rank_from_scores(scores, t, None),
+                     rank_from_scores(scores, t, include)) for t in query_targets])
+    return out
 
 
 def _query_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
                  position: int, targets: list[int],
                  screen: _Screen) -> list[tuple[int, int]]:
     """(raw, filtered) rank of each of ``targets`` at ``position`` of the query
-    ``fact`` poses there, from one score vector and one filter mask; the
-    filter drops the candidates that complete the query into a fact in
-    ``index``, a ``kb.fact_index``.  The scores are ``screen``'s float32
-    ones, with the rows it cannot decide re-scored in float64."""
-    scores, undecided = _candidate_scores(params, fact, position, screen)
-    relation = screen.relations[fact.relation]
-    scores = scores.astype(np.float64)
-    err = np.abs(scores)
-    err *= relation.err_rel
-    err += relation.err_abs
-    # an undecided row lies apart from no target, and an undecided target
-    # (near a face, where its float32 score can be off by the whole jump,
-    # or not finite) from no row
-    err[undecided] = np.inf
-    apart = np.empty_like(scores)  # how far each row lies beyond both bounds
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, so undecided
-        for t in targets:
-            np.subtract(scores, scores[t], out=apart)
-            np.abs(apart, out=apart)
-            apart -= err
-            apart -= err[t]
-            apart[t] = np.inf
-            undecided |= ~(apart > 0.0)
-    if undecided.any():
-        undecided[targets] = True
-        ids = np.flatnonzero(undecided)
-        scores[ids] = score_candidates(params, fact.relation, fact.entities, position,
-                                       None, relation.box, ids=ids)
-    include = np.ones(scores.shape[0], dtype=bool)
-    include[known_answers(index, fact.relation, fact.entities, position)] = False
-    return [(rank_from_scores(scores, t, None), rank_from_scores(scores, t, include))
-            for t in targets]
+    ``fact`` poses there: ``_group_ranks`` of that one query."""
+    return _group_ranks(params, index, fact, position, {fact.relation: targets},
+                        screen)[0]
 
 
 def rank_fact(params: ModelParams, kb: KnowledgeBase, fact: Fact,
@@ -265,28 +296,28 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str,
              ks: tuple[int, ...] = (1, 3, 10), workers: int = 1) -> dict:
     """Filtered (headline) and raw metrics over one split."""
     facts = ranked_facts(kb, split)
-    # (relation, position, other entities) -> a fact posing that query, the
-    # position, and the canonical slots and targets of its rankings
-    queries: dict[tuple, tuple[Fact, int, list[int], list[int]]] = {}
+    # (position, other entities) -> a fact posing that point group, the
+    # position, and per relation the targets and canonical slots of its rankings
+    groups: dict[tuple, tuple[Fact, int, dict[int, list[int]], dict[int, list[int]]]] = {}
     n_rankings = 0
     for fact in facts:
         for position, target in enumerate(fact.entities):
-            key = (fact.relation, position,
-                   fact.entities[:position] + fact.entities[position + 1:])
-            _, _, slots, targets = queries.setdefault(key, (fact, position, [], []))
-            slots.append(n_rankings)
-            targets.append(target)
+            key = (position, fact.entities[:position] + fact.entities[position + 1:])
+            _, _, targets, slots = groups.setdefault(key, (fact, position, {}, {}))
+            targets.setdefault(fact.relation, []).append(target)
+            slots.setdefault(fact.relation, []).append(n_rankings)
             n_rankings += 1
-    work = [queries[key] for key in sorted(queries)]
+    work = [groups[key] for key in sorted(groups)]
     index = kb.known_index  # built here, before any worker thread reads it
-    screen = _Screen(params, [fact.relation for fact, *_ in work])
+    screen = _Screen(params, [fact.relation for fact in facts])
     raw, filt = [0] * n_rankings, [0] * n_rankings
 
     def rank_all(shard):
-        for fact, position, slots, targets in shard:
-            pairs = _query_ranks(params, index, fact, position, targets, screen)
-            for i, (r, f) in zip(slots, pairs):
-                raw[i], filt[i] = r, f
+        for fact, position, targets, slots in shard:
+            ranks = _group_ranks(params, index, fact, position, targets, screen)
+            for query_slots, pairs in zip(slots.values(), ranks):
+                for i, (r, f) in zip(query_slots, pairs):
+                    raw[i], filt[i] = r, f
 
     if workers > 1 and len(work) > 1:
         # one strided shard per worker, so the pool holds `workers` futures

@@ -11,7 +11,9 @@ points, the bump sum added left to right.  Ranking exploits this algebra:
 the |E| facts that substitute every entity at one position share the bump
 sum but for one term, so ``score_candidates`` scores them all with
 broadcasts over the entity tables, not an (E, n, d) gather, and returns
-bitwise the scores ``score_batch`` gives the same rows.  Both scorers work
+bitwise the scores ``score_batch`` gives the same rows.  The points do not
+depend on the relation, so ``score_point_group`` scores such rows under
+several relations from one pass of ``_final_points``.  Both scorers work
 one block of rows at a time (``row_blocks``): every element-wise pass over
 a block stays within ``_BLOCK_BYTES``, so it runs in cache, and a ranking
 query holds at most about 1 MB at any |E| and arity.  The scorers and
@@ -356,22 +358,41 @@ def score_candidates(params: ModelParams, relation: int, entities, position: int
     box, min over dimensions of half the box width less |x - c|, over the
     positions that the inside test passed (whole-point branch only).
     """
-    if box is None:
-        box = _box_tensors(params, relation, len(entities))
+    return score_point_group(params, [relation], entities, position, base_less_bump,
+                             None if box is None else [box],
+                             None if face_gap is None else face_gap[None], ids)[0]
+
+
+def score_point_group(params: ModelParams, relations, entities, position: int,
+                      base_less_bump: np.ndarray | None, boxes: list | None = None,
+                      face_gaps: np.ndarray | None = None,
+                      ids: np.ndarray | None = None) -> np.ndarray:
+    """``score_candidates`` for each of ``relations`` at once: row k of the
+    (k, rows) result is bitwise its scores under ``relations[k]``.  A final
+    point depends on the entities alone, so each block's points are formed
+    once, and each relation takes its distances on its own copy of them
+    (the last on the points themselves).  ``boxes`` and ``face_gaps``
+    (k, E) hold each relation's ``box`` and ``face_gap``."""
+    if boxes is None:
+        boxes = [_box_tensors(params, r, len(entities)) for r in relations]
     else:
-        _check_arity(box[0], len(entities))
+        for box in boxes:
+            _check_arity(box[0], len(entities))
     n_rows = params.entity_base.shape[0] if ids is None else len(ids)
-    total = np.zeros(n_rows, dtype=params.entity_base.dtype)
-    for blk in row_blocks(n_rows, total.itemsize * params.d):
+    totals = np.zeros((len(boxes), n_rows), dtype=params.entity_base.dtype)
+    last = len(boxes) - 1
+    for blk in row_blocks(n_rows, totals.itemsize * params.d):
         rows = blk if ids is None else ids[blk]
         operands = [rows if q == position else int(e) for q, e in enumerate(entities)]
         points = _final_points(params, operands,
                                None if ids is not None else base_less_bump[blk])
-        gap = None if face_gap is None else face_gap[blk]
-        block_total = total[blk]
+        block_totals = totals[:, blk]
         for q, x in enumerate(points):
-            block_total += _position_norms(params, x, box, q, face_gap=gap)
-    return total
+            for k, box in enumerate(boxes):
+                gap = None if face_gaps is None else face_gaps[k, blk]
+                block_totals[k] += _position_norms(params, x if k == last else x.copy(),
+                                                   box, q, face_gap=gap)
+    return totals
 
 
 def score_batch(params: ModelParams, relation: int, ents: np.ndarray) -> np.ndarray:

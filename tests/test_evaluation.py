@@ -1,5 +1,6 @@
 """Ranking, tie handling, filtering, and metric arithmetic."""
 import collections
+import dataclasses
 import sys
 import tracemalloc
 
@@ -63,6 +64,37 @@ def test_rank_excluded_candidates_are_invisible():
     # the target is always included, even if its mask bit is off
     include = np.array([False, False, True, True])
     assert rank_from_scores(scores, 1, include) == 1
+
+
+def rank_with_a_mask(scores, target, include=None):
+    """``rank_from_scores`` as it was when it built a fresh |E| mask."""
+    s = np.asarray(scores, dtype=np.float64)
+    mask = np.ones(s.shape[0], dtype=bool) if include is None else include.copy()
+    mask[target] = True
+    t = s[target]
+    better = int(((s < t) & mask).sum())
+    ties = int(((s == t) & mask).sum()) - 1  # other candidates tied with target
+    return 1 + better + (ties + 1) // 2
+
+
+def test_rank_counts_without_a_mask_as_with_one():
+    # tie-heavy vectors: a few distinct values, NaN among them, and masks
+    # that drop the target itself or keep it
+    rng = np.random.default_rng(0)
+    seen_nan_target = seen_dropped_target = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 12))
+        scores = rng.choice([0.0, 0.5, 1.0, np.nan, -np.inf, np.inf], n,
+                            p=[0.3, 0.2, 0.2, 0.15, 0.05, 0.1])
+        target = int(rng.integers(0, n))
+        include = rng.random(n) < 0.6
+        seen_nan_target += bool(np.isnan(scores[target]))
+        seen_dropped_target += not include[target]
+        rank = rank_from_scores(scores, target)
+        assert type(rank) is int and rank == rank_with_a_mask(scores, target)
+        assert (rank_from_scores(scores, target, include)
+                == rank_with_a_mask(scores, target, include)), (scores, target, include)
+    assert seen_nan_target > 100 and seen_dropped_target > 500
 
 
 def test_metrics_anchors():
@@ -477,22 +509,119 @@ def test_evaluate_by_small_blocks_equals_the_reference(monkeypatch):
 
 
 def test_candidate_scores_run_once_per_distinct_query(monkeypatch):
+    # the unit of work is the point group: the queries that differ only in
+    # relation share one _candidate_scores call, which forms each block's
+    # float32 points once and scores every relation of the group on them
     kb, _ = hierarchy_ontology_kb(n_entities=30, leaf_facts=20, ancestor_facts=6, seed=2)
     params = init_params(kb.vocab, 4, np.random.default_rng(2))
     keys = query_keys(ranked_facts(kb, "test"))
-    assert len(set(keys)) < len(keys)
-    score = evaluation._candidate_scores
+    groups = {key[1:] for key in keys}
+    assert len(groups) < len(set(keys)) < len(keys)
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 80)
+    n_blocks = len(model.row_blocks(kb.vocab.n_entities, 4 * params.d))
+    assert n_blocks > 1
+    score, points = evaluation._candidate_scores, model._final_points
     for workers in (1, 2):
-        calls = []
+        scored, formed = [], []
 
-        def counting(params, fact, position, base_less_bump):
-            calls.append((fact.relation, position,
-                          fact.entities[:position] + fact.entities[position + 1:]))
-            return score(params, fact, position, base_less_bump)
+        def counting(params, fact, position, screen, relations):
+            others = fact.entities[:position] + fact.entities[position + 1:]
+            scored.extend((r, position, others) for r in relations)
+            return score(params, fact, position, screen, relations)
+
+        def counting_points(params, operands, base_less_bump=None):
+            if params.entity_base.dtype == np.float32:  # the screen's, not a re-score
+                position = next(p for p, op in enumerate(operands) if isinstance(op, slice))
+                formed.append((position, tuple(operands[:position] + operands[position + 1:])))
+            return points(params, operands, base_less_bump)
 
         monkeypatch.setattr(evaluation, "_candidate_scores", counting)
+        monkeypatch.setattr(model, "_final_points", counting_points)
         evaluation.evaluate(params, kb, "test", workers=workers)
-        assert sorted(calls) == sorted(set(keys)), workers
+        assert sorted(scored) == sorted(set(keys)), workers
+        assert collections.Counter(formed) == {g: n_blocks for g in groups}, workers
+
+
+def several_relation_groups(norm_order, bounded, per_dim_branch):
+    """(params, kb): the hierarchy KB, whose test queries fall into point
+    groups of up to four relations, under coarsely rounded parameters, so
+    that candidates tie, and boxes wide enough to hold many points."""
+    kb, _ = hierarchy_ontology_kb(n_entities=30, leaf_facts=20, ancestor_facts=6, seed=2)
+    params = init_params(kb.vocab, 3, np.random.default_rng(4), norm_order=norm_order,
+                         bounded=bounded)
+    params.per_dim_branch = per_dim_branch
+    for table in (params.entity_base, params.entity_bump):
+        table[:] = np.round(table * 2.0) / 2.0
+    params.box_a *= 2.0
+    params.box_b *= 2.0
+    return params, kb
+
+
+@pytest.mark.parametrize("norm_order,bounded,per_dim_branch",
+                         [(2, True, False), (1, True, False), (2, False, True),
+                          (1, False, False)])
+def test_point_groups_by_small_blocks_equal_the_reference(monkeypatch, norm_order,
+                                                          bounded, per_dim_branch):
+    # each group's relations share every block's points, over several
+    # blocks, and ties send about a quarter of the queries to a re-score
+    params, kb = several_relation_groups(norm_order, bounded, per_dim_branch)
+    keys = query_keys(ranked_facts(kb, "test"))
+    assert len({key[1:] for key in keys}) < len(set(keys))
+    expect = reference_evaluate(params, kb, "test")
+    assert expect["mr"] < expect["raw"]["mr"]
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 80)
+    assert len(model.row_blocks(kb.vocab.n_entities, 4 * params.d)) > 1
+    for workers in (1, 2):
+        assert evaluate(params, kb, "test", workers=workers) == expect, workers
+
+
+def test_a_point_group_holds_one_block_more_than_one_query():
+    # FB15k-237 size: a group of three relations forms each block's points
+    # once and takes each relation's distances on a copy of them, so it
+    # holds one more block and two more relations' float32 scores and face
+    # gaps (and undecided flags, and their not-finite test) than one query
+    # does, not three queries' working sets
+    n_e, d = 15000, 200
+    v = vocab_of(n_e, (2, 2, 2))
+    params = init_params(v, d, np.random.default_rng(0))
+    screen = _Screen(params, (0, 1, 2))
+    fact = Fact(0, (1, 2))
+    peaks = {k: max(traced_peak(_candidate_scores, params, fact, position, screen,
+                                list(range(k)))
+                    for position in (0, 1))
+             for k in (1, 3)}
+    assert peaks[3] <= peaks[1] + model._BLOCK_BYTES + 2 * n_e * (4 + 4 + 2), peaks
+    assert peaks[3] < 2 * peaks[1], peaks
+
+
+def test_one_fact_copies_rank_as_the_whole_split(monkeypatch):
+    # a copy of the knowledge base whose test split holds one fact (as the
+    # benchmark's reference check ranks its sample) keeps every known fact,
+    # so its filter drops the candidates the whole KB's does, test facts
+    # included, and gives the fact's slots their whole-split filtered ranks
+    params, kb = trained_hierarchy()
+    facts = ranked_facts(kb, "test")
+    test_index = fact_index(kb.test)
+    assert sum(len(answers) > 1 for answers in (
+        evaluation.known_answers(test_index, f.relation, f.entities, p)
+        for f in facts for p in range(f.arity))) >= 10  # filtered by other test facts
+    metrics = evaluation.metrics_from_ranks
+    filtered = []
+
+    def recording(ranks, ks):
+        filtered.append(list(ranks))
+        return metrics(ranks, ks)
+
+    monkeypatch.setattr(evaluation, "metrics_from_ranks", recording)
+    evaluate(params, kb, "test")
+    whole = filtered[0]
+    assert len(whole) == sum(f.arity for f in facts)
+    at = 0
+    for fact in facts:
+        filtered.clear()
+        evaluate(params, dataclasses.replace(kb, test=(fact,)), "test")
+        assert filtered[0] == whole[at:at + fact.arity], fact
+        at += fact.arity
 
 
 def test_evaluate_holds_one_query_per_worker():
