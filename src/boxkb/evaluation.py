@@ -12,7 +12,7 @@ ranking additionally drops candidates that are themselves known true facts
 headline, raw numbers ride along.  Relations at or above
 kb.n_scored_relations (inverse-augmentation helpers) are skipped.
 
-Candidates are scored by ``model.score_candidates`` from the bump algebra:
+Candidates are scored by ``model.score_point_group`` from the bump algebra:
 substituting a candidate changes only its own position's base and one term
 of the bump sum S shared by every position, so a query never gathers the
 (E, n, d) candidate rows; it forms S, one position's points and their
@@ -42,7 +42,7 @@ place (near a face, where its float32 score can be off by the whole jump,
 or not finite) lies apart from no row, so its query is ranked in float64
 whole.  Every other row compares with every target the same way in
 float32 as in float64, and never ties.  The undecided rows and the
-targets are re-scored by one ``score_candidates`` call on the float64
+targets are re-scored by one ``score_point_group`` call on the float64
 tables, on an id array (bitwise the values it gives among all |E|), and
 the ranks are counted on the float32 scores with those rows replaced:
 exactly the float64 ranks.  When no row is undecided the float64 pass is skipped.
@@ -83,8 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kb import Fact, KnowledgeBase, known_answers
-from .model import (ModelParams, _box_tensors, float32_entities, score_candidates,
-                    score_point_group)
+from .model import ModelParams, _box_tensors, float32_entities, score_point_group
 
 
 def rank_from_scores(scores: np.ndarray, target: int,
@@ -183,28 +182,26 @@ class _Screen:
                               for t in (params.entity_base, params.entity_bump))
         self.relations = {}
         for r in set(relations):
-            n = len(params.slot_of[r])
-            box = _box_tensors(params, r, n)
-            slack, err_abs, err_rel = _float32_bounds(params, box, base_max, bump_max)
-            box32 = _box_tensors(self.params, r, n, slack)
+            box = _box_tensors(params, r)
+            with np.errstate(over="ignore"):  # an inf bound re-scores every row
+                slack, err_abs, err_rel = _float32_bounds(params, box, base_max, bump_max)
+            box32 = _box_tensors(self.params, r, slack)
             self.relations[r] = _Relation(box, box32, slack, err_abs, err_rel)
 
 
-def _candidate_scores(params: ModelParams, fact: Fact, position: int,
-                      screen: _Screen, relations=None) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_scores(params: ModelParams, entities: tuple[int, ...], position: int,
+                      screen: _Screen, relations) -> tuple[np.ndarray, np.ndarray]:
     """Float32 scores (k, |E|) of the |E| rows substituting every entity at
-    ``position`` of ``fact``, under each of the k ``relations`` (default:
-    the fact's own), and the rows no target can decide: a non-finite score,
-    or under the whole-point branch a point within ``slack`` of a box face."""
-    relations = [fact.relation] if relations is None else relations
+    ``position`` of ``entities``, under each of the k ``relations``, and the
+    rows no target can decide: a non-finite score, or under the whole-point
+    branch a point within ``slack`` of a box face."""
     group = [screen.relations[r] for r in relations]
     face_gap = (None if params.per_dim_branch
                 else np.full((len(group), params.entity_base.shape[0]), np.inf,
                              dtype=np.float32))
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are re-scored
-        scores = score_point_group(screen.params, relations, fact.entities, position,
-                                   screen.base_less_bump, [r.box32 for r in group],
-                                   face_gap)
+        scores = score_point_group(screen.params, [r.box32 for r in group], entities,
+                                   position, screen.base_less_bump, face_gap)
     undecided = ~np.isfinite(scores)
     if face_gap is not None:
         for k, relation in enumerate(group):
@@ -212,19 +209,19 @@ def _candidate_scores(params: ModelParams, fact: Fact, position: int,
     return scores, undecided
 
 
-def _group_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
-                 position: int, targets: dict[int, list[int]],
+def _group_ranks(params: ModelParams, index: dict[int, np.ndarray],
+                 entities: tuple[int, ...], position: int, targets: dict[int, list[int]],
                  screen: _Screen) -> list[list[tuple[int, int]]]:
     """For each relation of ``targets`` (relation -> target entities), in
     its order, the (raw, filtered) rank of each of its targets at
-    ``position`` of the query that ``fact``'s entities pose there under
-    that relation.  The queries share their candidate points, so one
-    ``_candidate_scores`` call scores them all; each query is then ranked
-    from its own score vector and filter mask.  The filter drops the
-    candidates that complete the query into a fact in ``index``, a
-    ``kb.fact_index``.  The scores are ``screen``'s float32 ones, with the
-    rows it cannot decide re-scored in float64."""
-    all_scores, all_undecided = _candidate_scores(params, fact, position, screen,
+    ``position`` of the query that ``entities`` pose there under that
+    relation (the entity at ``position`` is not read).  The queries share
+    their candidate points, so one ``_candidate_scores`` call scores them
+    all; each query is then ranked from its own score vector and filter
+    mask.  The filter drops the candidates that complete the query into a
+    fact in ``index``, a ``kb.fact_index``.  The scores are ``screen``'s
+    float32 ones, with the rows it cannot decide re-scored in float64."""
+    all_scores, all_undecided = _candidate_scores(params, entities, position, screen,
                                                   list(targets))
     out = []
     for (r, query_targets), scores, undecided in zip(targets.items(), all_scores,
@@ -250,30 +247,21 @@ def _group_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
         if undecided.any():
             undecided[query_targets] = True
             ids = np.flatnonzero(undecided)
-            scores[ids] = score_candidates(params, r, fact.entities, position,
-                                           None, relation.box, ids=ids)
+            scores[ids] = score_point_group(params, [relation.box], entities, position,
+                                            ids=ids)[0]
         include = np.ones(scores.shape[0], dtype=bool)
-        include[known_answers(index, r, fact.entities, position)] = False
+        include[known_answers(index, r, entities, position)] = False
         out.append([(rank_from_scores(scores, t, None),
                      rank_from_scores(scores, t, include)) for t in query_targets])
     return out
 
 
-def _query_ranks(params: ModelParams, index: dict[int, np.ndarray], fact: Fact,
-                 position: int, targets: list[int],
-                 screen: _Screen) -> list[tuple[int, int]]:
-    """(raw, filtered) rank of each of ``targets`` at ``position`` of the query
-    ``fact`` poses there: ``_group_ranks`` of that one query."""
-    return _group_ranks(params, index, fact, position, {fact.relation: targets},
-                        screen)[0]
-
-
 def rank_fact(params: ModelParams, kb: KnowledgeBase, fact: Fact,
               position: int, filtered: bool) -> int:
     """Rank of ``fact`` against all substitutions at ``position``."""
-    return _query_ranks(params, kb.known_index, fact, position,
-                        [fact.entities[position]],
-                        _Screen(params, [fact.relation]))[0][filtered]
+    return _group_ranks(params, kb.known_index, fact.entities, position,
+                        {fact.relation: [fact.entities[position]]},
+                        _Screen(params, [fact.relation]))[0][0][filtered]
 
 
 def metrics_from_ranks(ranks: list[int], ks: tuple[int, ...]) -> dict:
@@ -296,14 +284,16 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str,
              ks: tuple[int, ...] = (1, 3, 10), workers: int = 1) -> dict:
     """Filtered (headline) and raw metrics over one split."""
     facts = ranked_facts(kb, split)
-    # (position, other entities) -> a fact posing that point group, the
-    # position, and per relation the targets and canonical slots of its rankings
-    groups: dict[tuple, tuple[Fact, int, dict[int, list[int]], dict[int, list[int]]]] = {}
+    # (position, other entities) -> the entities of a fact posing that point
+    # group, the position, and per relation the targets and canonical slots
+    # of its rankings
+    groups: dict[tuple, tuple[tuple[int, ...], int, dict[int, list[int]],
+                              dict[int, list[int]]]] = {}
     n_rankings = 0
     for fact in facts:
         for position, target in enumerate(fact.entities):
             key = (position, fact.entities[:position] + fact.entities[position + 1:])
-            _, _, targets, slots = groups.setdefault(key, (fact, position, {}, {}))
+            _, _, targets, slots = groups.setdefault(key, (fact.entities, position, {}, {}))
             targets.setdefault(fact.relation, []).append(target)
             slots.setdefault(fact.relation, []).append(n_rankings)
             n_rankings += 1
@@ -313,8 +303,8 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str,
     raw, filt = [0] * n_rankings, [0] * n_rankings
 
     def rank_all(shard):
-        for fact, position, targets, slots in shard:
-            ranks = _group_ranks(params, index, fact, position, targets, screen)
+        for entities, position, targets, slots in shard:
+            ranks = _group_ranks(params, index, entities, position, targets, screen)
             for query_slots, pairs in zip(slots.values(), ranks):
                 for i, (r, f) in zip(query_slots, pairs):
                     raw[i], filt[i] = r, f

@@ -9,12 +9,12 @@ so each entity shifts its co-participants but not itself (for arity 1 the
 formula collapses to the base alone).  ``_final_points`` alone forms these
 points, the bump sum added left to right.  Ranking exploits this algebra:
 the |E| facts that substitute every entity at one position share the bump
-sum but for one term, so ``score_candidates`` scores them all with
+sum but for one term, so ``score_point_group`` scores them all with
 broadcasts over the entity tables, not an (E, n, d) gather, and returns
 bitwise the scores ``score_batch`` gives the same rows.  The points do not
-depend on the relation, so ``score_point_group`` scores such rows under
-several relations from one pass of ``_final_points``.  Both scorers work
-one block of rows at a time (``row_blocks``): every element-wise pass over
+depend on the relation, so it scores such rows under several relations'
+boxes from one pass of ``_final_points``.  It and ``forward`` work one
+block of rows at a time (``row_blocks``): every element-wise pass over
 a block stays within ``_BLOCK_BYTES``, so it runs in cache, and a ranking
 query holds at most about 1 MB at any |E| and arity.  The scorers and
 ``backward`` compute in the entity tables' dtype, so a ``ModelParams`` whose
@@ -240,43 +240,39 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
 def _final_points(params: ModelParams, operands, base_less_bump=None):
     """Yield each position's bounded final points in turn: (base - bump) of
     its operand plus S, the bump sum added left to right.  ``operands[p]``
-    (an id column, one id, or a slice of entity rows) indexes the entity
-    tables; the caller's ``base_less_bump``, those rows' slice of it, stands
-    in at the slice."""
+    (an id column, one id, a slice of entity rows or an id array) indexes
+    the entity tables, and the caller's ``base_less_bump`` table, if given,
+    in place of (base - bump): both give the same bits."""
     base, bump = params.entity_base, params.entity_bump
     s = bump[operands[0]]
     for op in operands[1:]:
         s = s + bump[op]
     for op in operands:
-        if base_less_bump is not None and isinstance(op, slice):
-            pts = base_less_bump + s
-        else:
-            pts = (base[op] - bump[op]) + s
+        own = base[op] - bump[op] if base_less_bump is None else base_less_bump[op]
+        pts = own + s
         yield np.tanh(pts, out=pts) if params.bounded else pts
 
 
 def _check_arity(slots: np.ndarray, n_positions: int) -> None:
     """ValueError unless rows of ``n_positions`` entities have one box slot
-    each: every scorer calls this, through ``_box_tensors`` or directly."""
+    each: every scorer calls this."""
     if n_positions != len(slots):
         raise ValueError("fact arity does not match relation arity")
 
 
-def _box_tensors(params: ModelParams, relation: int, n_positions: int,
-                 slack: float = 0.0):
-    """The boxes of ``relation`` for rows of ``n_positions`` entities, in the
-    entity tables' dtype, or ValueError unless that is the relation's arity.
-    With ``slack`` each face is moved out by it; the center, width and
-    kappa stay those of the box itself.  A value past the dtype's range
-    becomes inf, as in ``float32_entities``."""
+def _box_tensors(params: ModelParams, relation: int, slack: float = 0.0):
+    """The boxes of ``relation`` in the entity tables' dtype: its slot ids,
+    then lower and upper faces, center, width plus one and kappa, one row
+    per position.  With ``slack`` each face is moved out by it; the center,
+    width and kappa stay those of the box itself.  A value past the dtype's
+    range becomes inf, as in ``float32_entities``."""
     slots = params.slot_of[relation]
-    _check_arity(slots, n_positions)
     lo, hi = params.effective_bounds(slots)
-    shape = _box_shape(lo, hi)
-    if slack:
-        lo, hi = lo - slack, hi + slack
     dtype = params.entity_base.dtype  # formed in float64, then rounded once
     with np.errstate(over="ignore"):
+        shape = _box_shape(lo, hi)
+        if slack:
+            lo, hi = lo - slack, hi + slack
         return (slots, *(np.asarray(a, dtype=dtype) for a in (lo, hi, *shape)))
 
 
@@ -285,7 +281,7 @@ def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
     """Norm of the distance of each point of ``x`` (B, d) to box ``p`` of
     ``box`` (a ``_box_tensors`` tuple), formed in ``x``'s buffer (``x`` is
     given up, as with ``_distance``'s ``overwrite``); ``face_gap`` as in
-    ``score_candidates``."""
+    ``score_point_group``."""
     _, lo, hi, c, w, kappa = box
     dv, _, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],
                                  params.per_dim_branch, overwrite=True)
@@ -319,7 +315,8 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
     formed one ``row_blocks`` block of rows at a time in the entity tables'
     dtype."""
     ents = np.asarray(ents, dtype=np.int64)
-    box = _box_tensors(params, relation, ents.shape[1])
+    box = _box_tensors(params, relation)
+    _check_arity(box[0], ents.shape[1])
     # one allocation for every position: n separate (B, d) arrays of a large
     # batch go back to the system when freed and fault in again next call
     dtype = params.entity_base.dtype
@@ -335,59 +332,43 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
     return total, ForwardCache(box, ents, points, norms)
 
 
-def score_candidates(params: ModelParams, relation: int, entities, position: int,
-                     base_less_bump: np.ndarray | None, box: tuple | None = None,
-                     face_gap: np.ndarray | None = None,
-                     ids: np.ndarray | None = None) -> np.ndarray:
-    """Scores of the |E| facts that put each entity in turn at ``position``
-    of ``entities``; bitwise the ``score_batch`` scores of those rows.
-
-    ``base_less_bump`` is ``entity_base - entity_bump``, which the caller
-    forms once.  The rows differ only in the candidate, so ``_final_points``
-    takes a block of entities at ``position`` and one id elsewhere: (rows, d)
-    broadcasts, one ``row_blocks`` block and one position at a time, never
-    an (E, n, d) gather nor even a whole (E, d) array.  Everything is formed
-    in the entity tables' dtype.  Given ``ids``, an id array, it scores
-    those candidates alone, bitwise as among all |E|, and does without
-    ``base_less_bump``.
-
-    A caller that keeps ``relation``'s ``_box_tensors`` passes them as
-    ``box``.  The ranking screen passes its float32 boxes, their faces moved
-    out for the whole-point inside test, and ``face_gap`` (E,), filled with
-    inf: for each row, it takes the least depth of one of its points in its
-    box, min over dimensions of half the box width less |x - c|, over the
-    positions that the inside test passed (whole-point branch only).
-    """
-    return score_point_group(params, [relation], entities, position, base_less_bump,
-                             None if box is None else [box],
-                             None if face_gap is None else face_gap[None], ids)[0]
-
-
-def score_point_group(params: ModelParams, relations, entities, position: int,
-                      base_less_bump: np.ndarray | None, boxes: list | None = None,
+def score_point_group(params: ModelParams, boxes: list, entities, position: int,
+                      base_less_bump: np.ndarray | None = None,
                       face_gaps: np.ndarray | None = None,
                       ids: np.ndarray | None = None) -> np.ndarray:
-    """``score_candidates`` for each of ``relations`` at once: row k of the
-    (k, rows) result is bitwise its scores under ``relations[k]``.  A final
-    point depends on the entities alone, so each block's points are formed
-    once, and each relation takes its distances on its own copy of them
-    (the last on the points themselves).  ``boxes`` and ``face_gaps``
-    (k, E) hold each relation's ``box`` and ``face_gap``."""
-    if boxes is None:
-        boxes = [_box_tensors(params, r, len(entities)) for r in relations]
-    else:
-        for box in boxes:
-            _check_arity(box[0], len(entities))
+    """Scores (k, |E|) of the |E| facts that put each entity in turn at
+    ``position`` of ``entities``, under each of the k ``boxes`` (a list of
+    ``_box_tensors`` tuples): row k is bitwise the ``score_batch`` scores of
+    those rows under the relation of ``boxes[k]``.
+
+    The rows differ only in the candidate, so ``_final_points`` takes a
+    block of entities at ``position`` and one id elsewhere: (rows, d)
+    broadcasts, one ``row_blocks`` block and one position at a time, never
+    an (E, n, d) gather nor even a whole (E, d) array.  A final point
+    depends on the entities alone, so each block's points are formed once,
+    and each box set takes its distances on its own copy of them (the last
+    on the points themselves).  Everything is formed in the entity tables'
+    dtype.  ``base_less_bump`` is the (E, d) table ``entity_base -
+    entity_bump``, which a caller that scores many groups forms once.
+    Given ``ids``, an id array, only those candidates are scored, bitwise
+    as among all |E|.
+
+    The ranking screen passes its float32 boxes, their faces moved out for
+    the whole-point inside test, and ``face_gaps`` (k, E), filled with inf:
+    for each row, it takes the least depth of one of its points in its box,
+    min over dimensions of half the box width less |x - c|, over the
+    positions that the inside test passed (whole-point branch only).
+    """
+    for box in boxes:
+        _check_arity(box[0], len(entities))
     n_rows = params.entity_base.shape[0] if ids is None else len(ids)
     totals = np.zeros((len(boxes), n_rows), dtype=params.entity_base.dtype)
     last = len(boxes) - 1
     for blk in row_blocks(n_rows, totals.itemsize * params.d):
         rows = blk if ids is None else ids[blk]
         operands = [rows if q == position else int(e) for q, e in enumerate(entities)]
-        points = _final_points(params, operands,
-                               None if ids is not None else base_less_bump[blk])
         block_totals = totals[:, blk]
-        for q, x in enumerate(points):
+        for q, x in enumerate(_final_points(params, operands, base_less_bump)):
             for k, box in enumerate(boxes):
                 gap = None if face_gaps is None else face_gaps[k, blk]
                 block_totals[k] += _position_norms(params, x if k == last else x.copy(),

@@ -481,8 +481,7 @@ def apply_projection(params: ModelParams, plan: InjectionPlan) -> int:
         return 0
     lo, hi = params.raw_bounds(slice(None))
     orig_lo, orig_hi = lo.copy(), hi.copy()
-    n_slots = params.n_slots
-    sweep_limit = 4 * params.d * n_slots * n_slots + 2
+    sweep_limit = 4 * params.d * params.n_slots ** 2 + 2
     sweeps = 0
     while True:
         changed = False
@@ -500,10 +499,6 @@ def apply_projection(params: ModelParams, plan: InjectionPlan) -> int:
     # a bound moved where the projected box sticks out of the original one
     moved_bounds = np.greater(overhang((orig_lo, orig_hi), (lo, hi)), 0)
     moves = int(moved_bounds.sum())
-    if moves > 2 * params.d * n_slots:
-        raise ProjectionError(
-            f"projection moved {moves} bounds, exceeding the "
-            f"2 * d * slots = {2 * params.d * n_slots} bound")
     moved = np.flatnonzero(moved_bounds.any(axis=(0, 2)))
     params.set_raw_bounds(moved, lo[moved], hi[moved])
     return moves

@@ -384,6 +384,23 @@ def test_eval_of_entities_past_float32_range_writes_no_warning(capsys, data):
     assert json.loads(out)["n_facts"] == len(VALID_LINES)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_of_boxes_with_huge_corners_writes_no_warning(capsys, tmp_path):
+    # a finite checkpoint whose box widths overflow kappa and the screen's
+    # error bounds: every row is re-scored in float64
+    triples = write_lines(tmp_path / "kb.tsv", ["a\tr\tb", "b\tr\tc"])
+    params = init_params(parse_kb(triples).vocab, 3, stream_rng(0, STREAM_INIT),
+                         bounded=False)
+    params.box_a[:] = -1e200
+    params.box_b[:] = 1e200
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(params, ckpt)
+    code, out, err = run_main(capsys, ["eval", "--checkpoint", str(ckpt),
+                                       "--train", triples, "--split", "train"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["n_facts"] == 2
+
+
 def test_eval_with_inverse_augmentation_ranks_original_relations(capsys, data):
     outdir = data["tmp"] / "run"
     assert run_main(capsys, train_argv(data, outdir, ["--augment-inverses"]))[0] == 0

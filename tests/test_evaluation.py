@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from boxkb import evaluation, model
 from boxkb.kb import (Fact, KnowledgeBase, Vocabulary, augment_inverses, fact_index,
                       known_rows)
-from boxkb.model import init_params, score_batch, score_candidates
-from boxkb.evaluation import (_candidate_scores, _query_ranks, _Screen, evaluate,
+from boxkb.model import _box_tensors, init_params, score_batch, score_point_group
+from boxkb.evaluation import (_candidate_scores, _group_ranks, _Screen, evaluate,
                               metrics_from_ranks, rank_fact, rank_from_scores,
                               ranked_facts)
 from boxkb.rules import inject
@@ -257,7 +257,8 @@ def test_filtered_ranking_matches_reference_fact_loop(case):
     assert empty <= {f.relation for f in unknown}
     filtered_below_raw = 0
     for fact in sorted(kb.known) + unknown:
-        ranks = [_query_ranks(params, index, fact, p, [fact.entities[p]], screen)[0]
+        ranks = [_group_ranks(params, index, fact.entities, p,
+                              {fact.relation: [fact.entities[p]]}, screen)[0][0]
                  for p in range(fact.arity)]
         for p in range(fact.arity):
             expect = reference_position_ranks(params, kb, fact, p)
@@ -342,7 +343,8 @@ def test_candidate_scores_working_set_does_not_grow_with_arity():
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                _candidate_scores(params, fact, position, screen)
+                _candidate_scores(params, fact.entities, position, screen,
+                                  [fact.relation])
                 peak = max(peak, tracemalloc.get_traced_memory()[1] - start)
             finally:
                 tracemalloc.stop()
@@ -370,8 +372,8 @@ def test_one_query_holds_a_fraction_of_one_entity_table():
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                _query_ranks(params, index, fact, position,
-                             [fact.entities[position]], screen)
+                _group_ranks(params, index, fact.entities, position,
+                             {fact.relation: [fact.entities[position]]}, screen)
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
@@ -391,8 +393,8 @@ def reference_evaluate(params, kb, split, ks=(1, 3, 10)):
         n_e = params.vocab.n_entities
         rows = np.tile(np.array(fact.entities, dtype=np.int64), (n_e, 1))
         rows[:, position] = np.arange(n_e)
-        scores = score_candidates(params, fact.relation, fact.entities, position,
-                                  base_less_bump)
+        scores = score_point_group(params, [_box_tensors(params, fact.relation)],
+                                   fact.entities, position, base_less_bump)[0]
         target = fact.entities[position]
         include = ~known_rows(index, fact.relation, rows)
         return (rank_from_scores(scores, target, None),
@@ -524,10 +526,10 @@ def test_candidate_scores_run_once_per_distinct_query(monkeypatch):
     for workers in (1, 2):
         scored, formed = [], []
 
-        def counting(params, fact, position, screen, relations):
-            others = fact.entities[:position] + fact.entities[position + 1:]
+        def counting(params, entities, position, screen, relations):
+            others = entities[:position] + entities[position + 1:]
             scored.extend((r, position, others) for r in relations)
-            return score(params, fact, position, screen, relations)
+            return score(params, entities, position, screen, relations)
 
         def counting_points(params, operands, base_less_bump=None):
             if params.entity_base.dtype == np.float32:  # the screen's, not a re-score
@@ -586,8 +588,8 @@ def test_a_point_group_holds_one_block_more_than_one_query():
     params = init_params(v, d, np.random.default_rng(0))
     screen = _Screen(params, (0, 1, 2))
     fact = Fact(0, (1, 2))
-    peaks = {k: max(traced_peak(_candidate_scores, params, fact, position, screen,
-                                list(range(k)))
+    peaks = {k: max(traced_peak(_candidate_scores, params, fact.entities, position,
+                                screen, list(range(k)))
                     for position in (0, 1))
              for k in (1, 3)}
     assert peaks[3] <= peaks[1] + model._BLOCK_BYTES + 2 * n_e * (4 + 4 + 2), peaks
@@ -713,8 +715,9 @@ def float32_alone_misranks(params, kb):
     for fact in ranked_facts(kb, "test"):
         for p in range(fact.arity):
             with np.errstate(over="ignore", invalid="ignore"):
-                scores = score_candidates(screen.params, fact.relation, fact.entities, p,
-                                          screen.base_less_bump)
+                scores = score_point_group(
+                    screen.params, [_box_tensors(screen.params, fact.relation)],
+                    fact.entities, p, screen.base_less_bump)[0]
             expect = reference_position_ranks(params, kb, fact, p)[0]
             if rank_from_scores(scores, fact.entities[p]) != expect:
                 return True
@@ -809,15 +812,16 @@ def test_screen_ranks_near_faces_with_the_per_dimension_branch_as_float64():
 def test_a_query_is_re_scored_in_float64_at_most_once(monkeypatch, norm_order):
     # target 4 lies near a face, so both queries of its fact fall back to float64
     params, kb = face_case(norm_order, per_dim_branch=False)
-    score = evaluation.score_candidates
+    score = evaluation.score_point_group
     calls = collections.Counter()
 
-    def counting(params, relation, entities, position, *args, **kwargs):
+    def counting(params, boxes, entities, position, *args, **kwargs):
         if params.entity_base.dtype == np.float64:
-            calls[relation, position, entities[:position] + entities[position + 1:]] += 1
-        return score(params, relation, entities, position, *args, **kwargs)
+            slots = tuple(tuple(box[0].tolist()) for box in boxes)
+            calls[slots, position, entities[:position] + entities[position + 1:]] += 1
+        return score(params, boxes, entities, position, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "score_candidates", counting)
+    monkeypatch.setattr(evaluation, "score_point_group", counting)
     evaluate(params, kb, "test")
     assert calls and max(calls.values()) == 1, calls
     for fact in ranked_facts(kb, "test"):
@@ -847,8 +851,40 @@ def test_screen_ranks_a_trained_hierarchy_as_float64():
     for fact in ranked_facts(kb, "test"):
         for p in range(fact.arity):
             gap = np.full(kb.vocab.n_entities, np.inf, dtype=np.float32)
-            score_candidates(screen.params, fact.relation, fact.entities, p,
-                             screen.base_less_bump, screen.relations[fact.relation].box32, gap)
+            score_point_group(screen.params, [screen.relations[fact.relation].box32],
+                              fact.entities, p, screen.base_less_bump, gap[None])
             inside += int(np.isfinite(gap).sum())
     assert inside >= 500
     assert_float64_ranks(params, kb)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_screen_ranks_boxes_of_huge_corners_as_float64_without_a_warning():
+    # finite corners whose kappa and whose screen bounds overflow float64:
+    # an inf bound sends every row to the float64 re-score
+    v = vocab_of(3, (2,))
+    params = init_params(v, 3, np.random.default_rng(8), bounded=False)
+    params.box_a[:] = -1e200
+    params.box_b[:] = 1e200
+    kb = kb_with(v, train=[Fact(0, (0, 1)), Fact(0, (1, 2))],
+                 test=[Fact(0, (2, 0)), Fact(0, (0, 2)), Fact(0, (1, 1))])
+    assert_float64_ranks(params, kb)
+
+
+def test_float32_tanh_keeps_half_the_screens_assumed_error():
+    # the screen's bound takes numpy's float32 tanh to lie within
+    # _TANH_ULPS units of 2^-24 of the true value, twice the error measured
+    # on numpy 2.4.6 x86-64; the numpy that runs must keep that headroom.
+    # Every 7th float32 of [2^-12, 9] and every one of [0.5, 1.5], both
+    # signs, 2^20 values at a time.
+    worst = 0.0
+    chunk = 1 << 20
+    for lo, hi, step in ((2.0 ** -12, 9.0, 7), (0.5, 1.5, 1)):
+        start, stop = (int(b) for b in np.array([lo, hi], dtype=np.float32).view(np.int32))
+        for first in range(start, stop + 1, chunk * step):
+            x = np.arange(first, min(first + chunk * step, stop + 1), step,
+                          dtype=np.int32).view(np.float32)
+            for signed in (x, -x):
+                err = np.abs(np.tanh(signed) - np.tanh(signed.astype(np.float64)))
+                worst = max(worst, float(err.max()))
+    assert worst / 2.0 ** -24 <= evaluation._TANH_ULPS / 2, worst / 2.0 ** -24

@@ -15,7 +15,7 @@ from boxkb.kb import Fact, KnowledgeBase, Vocabulary
 from boxkb.model import (GradBuffer, GradMap, ModelParams, backward, dist,
                          final_embedding, float32_entities, forward, init_params,
                          load_checkpoint, row_blocks, save_checkpoint, score,
-                         score_batch, score_candidates, score_gradient)
+                         score_batch, score_gradient, score_point_group)
 
 
 def make_vocab(n_entities=4, arities=(2,)):
@@ -177,8 +177,9 @@ SCORERS = {
     "score": lambda p, kb, f: score(p, f),
     "score_batch": lambda p, kb, f: score_batch(p, f.relation, np.array([f.entities])),
     "score_gradient": lambda p, kb, f: score_gradient(p, f),
-    "score_candidates": lambda p, kb, f: score_candidates(
-        p, f.relation, f.entities, 0, p.entity_base - p.entity_bump),
+    "score_point_group": lambda p, kb, f: score_point_group(
+        p, [model._box_tensors(p, f.relation)], f.entities, 0,
+        p.entity_base - p.entity_bump),
     "rank_fact": lambda p, kb, f: rank_fact(p, kb, f, 0, True),
     "evaluate": lambda p, kb, f: evaluate(p, kb, "test"),
 }
@@ -388,7 +389,8 @@ def test_score_candidates_equals_score_batch_bitwise(norm_order, bounded,
                 rows = np.tile(anchor, (n_e, 1))
                 rows[:, pos] = np.arange(n_e)
                 expect = score_batch(p, rel, rows)
-                got = score_candidates(p, rel, tuple(anchor), pos, base_less_bump)
+                got = score_point_group(p, [model._box_tensors(p, rel)], tuple(anchor),
+                                        pos, base_less_bump)[0]
                 assert got.shape == expect.shape
                 assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), \
                     (rel, tuple(anchor), pos)
@@ -404,7 +406,7 @@ def test_row_blocks_are_balanced_and_cover_every_row(monkeypatch):
 
 
 def scoring_outputs(p, arities, rows_by_relation):
-    """Every scoring output as uint64 bit patterns: ``score_candidates`` at
+    """Every scoring output as uint64 bit patterns: ``score_point_group`` at
     each position of each row, and ``forward`` scores, ``cache.points`` and
     the ``backward`` gradient tables of each relation's rows."""
     base_less_bump = p.entity_base - p.entity_bump
@@ -412,7 +414,8 @@ def scoring_outputs(p, arities, rows_by_relation):
     for rel, rows in enumerate(rows_by_relation):
         for anchor in rows[:3]:
             for pos in range(arities[rel]):
-                out.append(score_candidates(p, rel, tuple(anchor), pos, base_less_bump))
+                out.append(score_point_group(p, [model._box_tensors(p, rel)], tuple(anchor),
+                                             pos, base_less_bump)[0])
         scores, cache = forward(p, rel, rows)
         buf = GradBuffer(p)
         backward(p, cache, np.linspace(-1.0, 2.0, len(rows)), buf)
@@ -468,7 +471,8 @@ def test_score_candidates_equals_score_batch_bitwise_at_one_dimension(arity):
         rows = np.tile(anchor, (3, 1))
         rows[:, pos] = np.arange(3)
         expect = score_batch(p, 0, rows)
-        got = score_candidates(p, 0, tuple(anchor), pos, base_less_bump)
+        got = score_point_group(p, [model._box_tensors(p, 0)], tuple(anchor), pos,
+                                base_less_bump)[0]
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), pos
 
 
@@ -914,6 +918,7 @@ def test_score_candidates_on_an_id_array_equals_all_candidates_bitwise(
     for rel, arity in enumerate(arities):
         anchor = tuple(int(e) for e in rng.integers(0, n_e, arity))
         for pos in range(arity):
-            every = score_candidates(p, rel, anchor, pos, base_less_bump)
-            got = score_candidates(p, rel, anchor, pos, None, ids=ids)
+            box = [model._box_tensors(p, rel)]
+            every = score_point_group(p, box, anchor, pos, base_less_bump)[0]
+            got = score_point_group(p, box, anchor, pos, ids=ids)[0]
             assert np.array_equal(got.view(np.uint64), every[ids].view(np.uint64)), (rel, pos)

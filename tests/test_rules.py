@@ -577,6 +577,17 @@ def test_projection_growth_counts_bound_moves():
     assert growth in (1, 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projection_of_a_nan_corner_raises_rather_than_loops():
+    # a NaN body corner never lies within its head, so every sweep grows the
+    # head again: the sweep limit ends the loop
+    p = make_params(n_rel=3, d=2, seed=10, bounded=False)
+    plan = inject([Rule(HIERARCHY, (0, 1)), Rule(HIERARCHY, (1, 2))], p)
+    p.box_a[int(p.slot_of[0][0]), 1] = np.nan
+    with pytest.raises(ProjectionError, match="failed to reach a fixpoint"):
+        apply_projection(p, plan)
+
+
 def test_containment_transfers_to_sampled_points():
     # semantic soundness: points inside every body box land inside head boxes
     p = make_params(seed=9)
