@@ -17,26 +17,33 @@ substituting a candidate changes only its own position's base and one term
 of the bump sum S shared by every position, so a query never gathers the
 (E, n, d) candidate rows; it forms S, one position's points and their
 distance vector for one cache-sized block of candidates at a time, at
-most about 1 MB at any |E| and arity.
+most about 1 MB at any |E| and arity.  A block is dimension-major, (d,
+rows), one candidate per column.
 
 Ranking screens every candidate in float32 and re-scores in float64 only
 the rows the screen cannot decide (filter and refine, as in Faloutsos,
 Ranganathan & Manolopoulos, SIGMOD 1994).  ``evaluate`` copies
-``entity_base``, ``entity_bump`` and their difference to float32 once per
-call, and forms each relation's boxes once in float64 and rounds them to
-float32 (``_Screen``); each query scores all |E| candidates on those.  A
-rank depends only on whether each candidate scores below the target or
-equal to it.  ``_float32_bounds`` derives, from the magnitudes of the
-tables and of the relation's boxes, a bound on how far each float32 score
-can lie from the float64 one (a priori rounding-error analysis, as in
-Higham, *Accuracy and Stability of Numerical Algorithms*, 2002): through
-the input rounding, the n-term bump sum, numpy's float32 tanh, the
-distance pieces, the d-term norm and the sum over positions, padded by a
-fixed factor.  A candidate is undecided if its score is not finite or,
-under the whole-point branch where the score jumps at the box boundary, if
-one of its points lies within ``slack`` of a box face; one error test
-settles every other row, which is undecided if its float32 score lies
-within both bounds of a target's.  An undecided row's bound is taken as
+``entity_bump`` and ``entity_base - entity_bump`` to float32 once per call,
+as C-contiguous (d, E) tables, and forms each relation's boxes once in
+float64 and rounds them to float32 (``_Screen``); each query scores all |E|
+candidates on those.  Each block is then a C-ordered (d, rows) array, so
+the inside test and the norm reduce down its columns, one vectorised pass
+per dimension, and the norm sums the dimensions in order; the float64
+re-score sums each norm pairwise, as ``score_batch`` does.  A rank depends
+only on whether each candidate scores below the target or equal to it.
+``_float32_bounds`` derives, from the magnitudes of the tables and of the
+relation's boxes, a bound on how far each float32 score can lie from the
+float64 one (a priori rounding-error analysis, as in Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002): through the input rounding,
+the n-term bump sum, numpy's float32 tanh, the distance pieces, the d-term
+norm and the sum over positions, padded by a fixed factor.  Its
+``_gamma(d + 1)`` term bounds recursive summation in any order (Higham,
+§4.2), so it holds for the dimension-by-dimension sum.  A candidate is
+undecided if its score is not finite or, under the whole-point branch
+where the score jumps at the box boundary, if one of its points lies
+within ``slack`` of a box face; one error test settles every other row,
+which is undecided if its float32 score lies within both bounds of a
+target's.  An undecided row's bound is taken as
 infinite, so it lies apart from no target, and a target the screen cannot
 place (near a face, where its float32 score can be off by the whole jump,
 or not finite) lies apart from no row, so its query is ranked in float64
@@ -83,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kb import Fact, KnowledgeBase, known_answers
-from .model import ModelParams, _box_tensors, float32_entities, score_point_group
+from .model import ModelParams, _box_tensors, score_point_group
 
 
 def rank_from_scores(scores: np.ndarray, target: int,
@@ -167,17 +174,20 @@ class _Relation(NamedTuple):
 
 
 class _Screen:
-    """What the queries of one ranking call share: float32 copies of the
-    entity tables and of their difference, and each of ``relations`` as a
-    ``_Relation``."""
+    """What the queries of one ranking call share: ``tables``, float32
+    copies of ``entity_bump`` and of ``entity_base - entity_bump`` as
+    C-contiguous (d, E) tables (the pair ``score_point_group`` takes), and
+    each of ``relations`` as a ``_Relation``."""
 
     def __init__(self, params: ModelParams, relations):
         # a value past float32's range becomes inf, and inf - inf is NaN:
         # either makes the scores it enters non-finite, so their rows are
         # re-scored
-        self.params = float32_entities(params)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.base_less_bump = self.params.entity_base - self.params.entity_bump
+            bump = params.entity_bump.T.astype(np.float32, order="C")
+            base_less_bump = params.entity_base.T.astype(np.float32, order="C")
+            base_less_bump -= bump
+        self.tables = bump, base_less_bump
         base_max, bump_max = (max(t.max(initial=0.0), -t.min(initial=0.0))
                               for t in (params.entity_base, params.entity_bump))
         self.relations = {}
@@ -185,7 +195,7 @@ class _Screen:
             box = _box_tensors(params, r)
             with np.errstate(over="ignore"):  # an inf bound re-scores every row
                 slack, err_abs, err_rel = _float32_bounds(params, box, base_max, bump_max)
-            box32 = _box_tensors(self.params, r, slack)
+            box32 = _box_tensors(params, r, slack, np.float32)
             self.relations[r] = _Relation(box, box32, slack, err_abs, err_rel)
 
 
@@ -200,8 +210,8 @@ def _candidate_scores(params: ModelParams, entities: tuple[int, ...], position: 
                 else np.full((len(group), params.entity_base.shape[0]), np.inf,
                              dtype=np.float32))
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are re-scored
-        scores = score_point_group(screen.params, [r.box32 for r in group], entities,
-                                   position, screen.base_less_bump, face_gap)
+        scores = score_point_group(params, [r.box32 for r in group], entities,
+                                   position, screen.tables, face_gap)
     undecided = ~np.isfinite(scores)
     if face_gap is not None:
         for k, relation in enumerate(group):

@@ -26,7 +26,8 @@ import numpy as np
 
 def inside(lo, hi, x) -> np.ndarray:
     """Per coordinate, whether points ``x`` lie in boxes [lo, hi], boundary
-    inclusive."""
+    inclusive.  Element-wise, so the operands need only broadcast: the
+    distance passes (d, 1) bound columns against (d, rows) points."""
     mask = lo <= x
     return np.logical_and(mask, x <= hi, out=mask)
 

@@ -16,14 +16,24 @@ depend on the relation, so it scores such rows under several relations'
 boxes from one pass of ``_final_points``.  It and ``forward`` work one
 block of rows at a time (``row_blocks``): every element-wise pass over
 a block stays within ``_BLOCK_BYTES``, so it runs in cache, and a ranking
-query holds at most about 1 MB at any |E| and arity.  The scorers and
-``backward`` compute in the entity tables' dtype, so a ``ModelParams`` whose
-entity tables are float32 copies computes in float32: training and the
-ranking screen run on such copies (see ``training`` and ``evaluation``),
-while the parameter tables themselves are float64.  Relation r owns one
-box per argument position; the fact's score is the sum over positions of
-the L-x norm of an element-wise distance between final_i and box i.  Lower
-scores mean more plausible facts.
+query holds at most about 1 MB at any |E| and arity.  A block's points are
+dimension-major, one point per column of a (d, rows) array, so the
+per-point reductions (the whole-point inside test and the norm's sum) run
+down the columns, one vectorised pass per dimension, not one short row at
+a time.  numpy picks the order of that sum from the memory layout.
+``forward``, ``backward`` and the scorers by default index the transposes
+of the row-major entity tables, so their blocks are F-ordered and each
+norm is summed pairwise, bit for bit as along a row of the row-major
+points.  The ranking screen passes C-contiguous (d, E) float32 tables,
+whose C-ordered blocks are summed one dimension after another; its error
+bound covers any summation order.  The scorers and ``backward`` compute
+in the entity tables' dtype, so a ``ModelParams`` whose entity tables are
+float32 copies computes in float32: training runs on such copies (see
+``training``), and the ranking screen on its float32 tables (see
+``evaluation``), while the parameter tables themselves are float64.
+Relation r owns one box per argument position; the fact's score is the sum
+over positions of the L-x norm of an element-wise distance between final_i
+and box i.  Lower scores mean more plausible facts.
 
 The distance is piecewise: inside the box it is |p - c| / w (shallow, keeps
 gradient signal for points already inside), outside it is |p - c| * w - kappa
@@ -183,16 +193,20 @@ def _box_shape(lo: np.ndarray, hi: np.ndarray):
 def _distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
               w: np.ndarray, kappa: np.ndarray, per_dim: bool,
               overwrite: bool = False):
-    """Element-wise distance of points ``x`` (..., d) to one box.
+    """Element-wise distance of points ``x`` (d, rows), one point per
+    column, to one box given by its (d,) vectors.
 
     Returns (dv, z, t, branch): the distance vector, the offset z = x - c,
-    t = |z| and the inside-branch mask (per coordinate with ``per_dim``,
-    else one flag per point, broadcastable against ``x``).  This is the only
-    place the piecewise distance is written.  With ``overwrite`` the caller
-    gives up ``x``: z and then t are formed in its buffer, so z is t.
+    t = |z|, each laid out as ``x``, and the inside-branch mask (per
+    coordinate with ``per_dim``, else one flag per point, a (1, rows) row).
+    This is the only place the piecewise distance is written.  With
+    ``overwrite`` the caller gives up ``x``: z and then t are formed in its
+    buffer, so z is t.
     """
+    lo, hi, c, w = lo[:, None], hi[:, None], c[:, None], w[:, None]
+    kappa = kappa[:, None]
     inside_dim = inside(lo, hi, x)
-    branch = inside_dim if per_dim else inside_dim.all(axis=-1, keepdims=True)
+    branch = inside_dim if per_dim else inside_dim.all(axis=0, keepdims=True)
     z = np.subtract(x, c, out=x if overwrite else None)
     t = np.abs(z, out=z if overwrite else None)
     dv = t * w
@@ -200,8 +214,9 @@ def _distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
     if per_dim:
         np.divide(t, w, out=dv, where=branch)
     else:  # the inside formula for the inside points only
-        rows_in = branch[..., 0]
-        dv[rows_in] = t[rows_in] / w
+        cols_in = branch[0].nonzero()[0]
+        if cols_in.size:
+            dv[:, cols_in] = t[:, cols_in] / w
     return dv, z, t, branch
 
 
@@ -215,8 +230,8 @@ def dist(point: np.ndarray, box: Box, per_dim: bool = False) -> np.ndarray:
     p = np.asarray(point, dtype=np.float64)
     if p.shape != box.lower.shape:
         raise ValueError("point dimensionality does not match box")
-    return _distance(p, box.lower, box.upper, *_box_shape(box.lower, box.upper),
-                     per_dim)[0]
+    return _distance(p[:, None], box.lower, box.upper,
+                     *_box_shape(box.lower, box.upper), per_dim)[0][:, 0]
 
 
 def final_embedding(params: ModelParams, fact: Fact) -> np.ndarray:
@@ -237,18 +252,27 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
 
-def _final_points(params: ModelParams, operands, base_less_bump=None):
-    """Yield each position's bounded final points in turn: (base - bump) of
-    its operand plus S, the bump sum added left to right.  ``operands[p]``
-    (an id column, one id, a slice of entity rows or an id array) indexes
-    the entity tables, and the caller's ``base_less_bump`` table, if given,
-    in place of (base - bump): both give the same bits."""
-    base, bump = params.entity_base, params.entity_bump
-    s = bump[operands[0]]
+def _final_points(params: ModelParams, operands, tables=None):
+    """Yield each position's bounded final points in turn, one point per
+    column: (base - bump) of its operand plus S, the bump sum added left to
+    right.  ``operands[p]`` (an id column, one id, a slice of entities or
+    an id array) indexes the columns of (d, E) entity tables: the caller's
+    ``tables``, a (bump, base - bump) pair, or by default the transposes of
+    the entity tables, with base - bump formed per operand (the same bits).
+    Points come laid out as the tables' columns: the transposes give
+    F-ordered (d, rows) points, C-contiguous tables C-ordered ones."""
+    # each operand takes rows of the tables' (E, d) transposes, turned back:
+    # the same columns, and cheaper than a column gather for an id array
+    if tables is None:
+        bump, base_less_bump = params.entity_bump, None
+    else:
+        bump, base_less_bump = tables[0].T, tables[1].T
+    s = bump[operands[0]].T
     for op in operands[1:]:
-        s = s + bump[op]
+        s = s + bump[op].T
     for op in operands:
-        own = base[op] - bump[op] if base_less_bump is None else base_less_bump[op]
+        own = (params.entity_base[op] - bump[op] if base_less_bump is None
+               else base_less_bump[op]).T
         pts = own + s
         yield np.tanh(pts, out=pts) if params.bounded else pts
 
@@ -260,15 +284,16 @@ def _check_arity(slots: np.ndarray, n_positions: int) -> None:
         raise ValueError("fact arity does not match relation arity")
 
 
-def _box_tensors(params: ModelParams, relation: int, slack: float = 0.0):
-    """The boxes of ``relation`` in the entity tables' dtype: its slot ids,
-    then lower and upper faces, center, width plus one and kappa, one row
-    per position.  With ``slack`` each face is moved out by it; the center,
-    width and kappa stay those of the box itself.  A value past the dtype's
-    range becomes inf, as in ``float32_entities``."""
+def _box_tensors(params: ModelParams, relation: int, slack: float = 0.0, dtype=None):
+    """The boxes of ``relation`` in ``dtype``, by default the entity tables':
+    its slot ids, then lower and upper faces, center, width plus one and
+    kappa, one row per position.  With ``slack`` each face is moved out by
+    it; the center, width and kappa stay those of the box itself.  A value
+    past the dtype's range becomes inf, as in ``float32_entities``."""
     slots = params.slot_of[relation]
     lo, hi = params.effective_bounds(slots)
-    dtype = params.entity_base.dtype  # formed in float64, then rounded once
+    if dtype is None:  # formed in float64, then rounded once
+        dtype = params.entity_base.dtype
     with np.errstate(over="ignore"):
         shape = _box_shape(lo, hi)
         if slack:
@@ -278,28 +303,34 @@ def _box_tensors(params: ModelParams, relation: int, slack: float = 0.0):
 
 def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
                     face_gap=None) -> np.ndarray:
-    """Norm of the distance of each point of ``x`` (B, d) to box ``p`` of
+    """Norm of the distance of each point of ``x`` (d, rows) to box ``p`` of
     ``box`` (a ``_box_tensors`` tuple), formed in ``x``'s buffer (``x`` is
-    given up, as with ``_distance``'s ``overwrite``); ``face_gap`` as in
-    ``score_point_group``."""
+    given up, as with ``_distance``'s ``overwrite``) and summed down each
+    column; ``face_gap`` as in ``score_point_group``.  numpy picks the order
+    of that sum from the layout: an F-ordered ``x`` (or one column) is
+    summed pairwise, bit for bit as the rows of its transpose would be, and
+    a C-contiguous one top to bottom, one vectorised pass per dimension.
+    A norm past the dtype's range is inf: ``forward`` and
+    ``score_point_group`` call this under ``np.errstate(over="ignore")``
+    (once per call, not per block and position), so it raises no warning."""
     _, lo, hi, c, w, kappa = box
     dv, _, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],
                                  params.per_dim_branch, overwrite=True)
     if face_gap is not None:
-        rows = np.flatnonzero(branch[:, 0])
-        if rows.size:
-            depth = ((w[p] - 1.0) * 0.5 - t[rows]).min(axis=1)
-            face_gap[rows] = np.minimum(face_gap[rows], depth)
+        cols = branch[0].nonzero()[0]
+        if cols.size:
+            depth = ((w[p, :, None] - 1.0) * 0.5 - t[:, cols]).min(axis=0)
+            face_gap[cols] = np.minimum(face_gap[cols], depth)
     if params.norm_order == 1:
-        return np.abs(dv, out=dv).sum(axis=1)
-    return np.sqrt(np.multiply(dv, dv, out=dv).sum(axis=1))
+        return np.abs(dv, out=dv).sum(axis=0)
+    return np.sqrt(np.multiply(dv, dv, out=dv).sum(axis=0))
 
 
 @dataclass
 class ForwardCache:
     """What ``backward`` needs from ``forward``: the relation's boxes (its
-    ``_box_tensors`` tuple), the scored rows, their final points (n, B, d)
-    (``points[p]`` is position p's) and per-position norms (B, n).
+    ``_box_tensors`` tuple), the scored rows, their final points (n, B, d),
+    row-major (``points[p]`` is position p's), and per-position norms (B, n).
     Everything else is recomputed one position at a time, to keep memory
     low.
     """
@@ -313,7 +344,9 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
             ) -> tuple[np.ndarray, ForwardCache]:
     """Scores of a batch of same-relation facts given as a (B, n) id array,
     formed one ``row_blocks`` block of rows at a time in the entity tables'
-    dtype."""
+    dtype.  ``_final_points`` indexes the tables' transposes, so each
+    block's points are the F-ordered (d, rows) transpose of its row-major
+    points: the cache keeps those, and the norms sum them pairwise."""
     ents = np.asarray(ents, dtype=np.int64)
     box = _box_tensors(params, relation)
     _check_arity(box[0], ents.shape[1])
@@ -323,17 +356,18 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
     points = np.empty((ents.shape[1], ents.shape[0], params.d), dtype=dtype)
     norms = np.empty(ents.shape, dtype=dtype)
     total = np.zeros(ents.shape[0], dtype=dtype)
-    for blk in row_blocks(ents.shape[0], points.itemsize * params.d):
-        block_total = total[blk]
-        for p, x in enumerate(_final_points(params, ents[blk].T)):
-            points[p, blk] = x
-            norms[blk, p] = _position_norms(params, x, box, p)
-            block_total += norms[blk, p]
+    with np.errstate(over="ignore"):  # a norm past the dtype's range is inf
+        for blk in row_blocks(ents.shape[0], points.itemsize * params.d):
+            block_total = total[blk]
+            for p, x in enumerate(_final_points(params, ents[blk].T)):
+                points[p, blk] = x.T
+                norms[blk, p] = _position_norms(params, x, box, p)
+                block_total += norms[blk, p]
     return total, ForwardCache(box, ents, points, norms)
 
 
 def score_point_group(params: ModelParams, boxes: list, entities, position: int,
-                      base_less_bump: np.ndarray | None = None,
+                      tables: tuple | None = None,
                       face_gaps: np.ndarray | None = None,
                       ids: np.ndarray | None = None) -> np.ndarray:
     """Scores (k, |E|) of the |E| facts that put each entity in turn at
@@ -342,37 +376,44 @@ def score_point_group(params: ModelParams, boxes: list, entities, position: int,
     those rows under the relation of ``boxes[k]``.
 
     The rows differ only in the candidate, so ``_final_points`` takes a
-    block of entities at ``position`` and one id elsewhere: (rows, d)
-    broadcasts, one ``row_blocks`` block and one position at a time, never
-    an (E, n, d) gather nor even a whole (E, d) array.  A final point
-    depends on the entities alone, so each block's points are formed once,
-    and each box set takes its distances on its own copy of them (the last
-    on the points themselves).  Everything is formed in the entity tables'
-    dtype.  ``base_less_bump`` is the (E, d) table ``entity_base -
-    entity_bump``, which a caller that scores many groups forms once.
+    block of entities at ``position`` and one entity column elsewhere:
+    (d, rows) broadcasts, one ``row_blocks`` block and one position at a
+    time, never an (E, n, d) gather nor even a whole (E, d) array.  A final
+    point depends on the entities alone, so each block's points are formed
+    once, and each box set takes its distances on its own copy of them (the
+    last on the points themselves).  Everything is formed in the dtype of
+    the (d, E) entity tables: ``tables``, the (bump, base - bump) pair
+    ``_final_points`` takes, or by default the transposes of ``params``'
+    tables.  Those give F-ordered points, whose norms are summed pairwise,
+    as ``score_batch`` sums them; C-contiguous tables give C-ordered points,
+    whose norms are summed one dimension after another, in other bits.
     Given ``ids``, an id array, only those candidates are scored, bitwise
     as among all |E|.
 
-    The ranking screen passes its float32 boxes, their faces moved out for
-    the whole-point inside test, and ``face_gaps`` (k, E), filled with inf:
-    for each row, it takes the least depth of one of its points in its box,
-    min over dimensions of half the box width less |x - c|, over the
-    positions that the inside test passed (whole-point branch only).
+    The ranking screen passes C-contiguous float32 tables, its float32
+    boxes, their faces moved out for the whole-point inside test, and
+    ``face_gaps`` (k, E), filled with inf: for each row, it takes the least
+    depth of one of its points in its box, min over dimensions of half the
+    box width less |x - c|, over the positions that the inside test passed
+    (whole-point branch only).
     """
     for box in boxes:
         _check_arity(box[0], len(entities))
     n_rows = params.entity_base.shape[0] if ids is None else len(ids)
-    totals = np.zeros((len(boxes), n_rows), dtype=params.entity_base.dtype)
+    dtype = params.entity_base.dtype if tables is None else tables[0].dtype
+    totals = np.zeros((len(boxes), n_rows), dtype=dtype)
     last = len(boxes) - 1
-    for blk in row_blocks(n_rows, totals.itemsize * params.d):
-        rows = blk if ids is None else ids[blk]
-        operands = [rows if q == position else int(e) for q, e in enumerate(entities)]
-        block_totals = totals[:, blk]
-        for q, x in enumerate(_final_points(params, operands, base_less_bump)):
-            for k, box in enumerate(boxes):
-                gap = None if face_gaps is None else face_gaps[k, blk]
-                block_totals[k] += _position_norms(params, x if k == last else x.copy(),
-                                                   box, q, face_gap=gap)
+    with np.errstate(over="ignore"):  # a norm past the dtype's range is inf
+        for blk in row_blocks(n_rows, totals.itemsize * params.d):
+            rows = blk if ids is None else ids[blk]
+            operands = [rows if q == position else slice(e, e + 1)
+                        for q, e in enumerate(entities)]
+            block_totals = totals[:, blk]
+            for q, x in enumerate(_final_points(params, operands, tables)):
+                for k, box in enumerate(boxes):
+                    gap = None if face_gaps is None else face_gaps[k, blk]
+                    block_totals[k] += _position_norms(
+                        params, x if k == last else x.copy(order="K"), box, q, face_gap=gap)
     return totals
 
 
@@ -431,8 +472,9 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
     slots, lo, hi, c, w, kappa = cache.box
     g_raw = np.empty((B, n, params.d), dtype=dtype)
     for p, x in enumerate(cache.points):
-        dv, z, t, branch = _distance(x, lo[p], hi[p], c[p], w[p], kappa[p],
-                                     params.per_dim_branch)
+        # the transposes of F-ordered results: (B, d) C-ordered arrays
+        dv, z, t, branch = (a.T for a in _distance(x.T, lo[p], hi[p], c[p], w[p],
+                                                   kappa[p], params.per_dim_branch))
         if params.norm_order == 1:
             g_dv = np.sign(dv)
             g_dv *= weights[:, None]

@@ -385,6 +385,22 @@ def test_eval_of_entities_past_float32_range_writes_no_warning(capsys, data):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_of_distances_whose_squares_overflow_writes_no_warning(capsys, data):
+    # a finite, unbounded checkpoint whose entity 2's base is 1e160: the
+    # float64 re-score's squared distances pass float64's range
+    params = init_params(parse_kb(data["train"], data["valid"]).vocab, 3,
+                         stream_rng(0, STREAM_INIT), bounded=False)
+    params.entity_base[2] = 1e160
+    ckpt = data["tmp"] / "model.json"
+    save_checkpoint(params, ckpt)
+    code, out, err = run_main(capsys, [
+        "eval", "--checkpoint", str(ckpt), "--train", data["train"],
+        "--valid", data["valid"], "--split", "valid"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["n_facts"] == len(VALID_LINES)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eval_of_boxes_with_huge_corners_writes_no_warning(capsys, tmp_path):
     # a finite checkpoint whose box widths overflow kappa and the screen's
     # error bounds: every row is re-scored in float64

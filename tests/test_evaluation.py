@@ -387,14 +387,14 @@ def reference_evaluate(params, kb, split, ks=(1, 3, 10)):
     """``evaluate`` as it was before rankings were grouped by query: each
     (fact, position) ranking scores and filters all |E| candidates itself."""
     index = fact_index(kb.known)
-    base_less_bump = params.entity_base - params.entity_bump
+    tables = params.entity_bump.T, (params.entity_base - params.entity_bump).T
 
     def position_ranks(fact, position):
         n_e = params.vocab.n_entities
         rows = np.tile(np.array(fact.entities, dtype=np.int64), (n_e, 1))
         rows[:, position] = np.arange(n_e)
         scores = score_point_group(params, [_box_tensors(params, fact.relation)],
-                                   fact.entities, position, base_less_bump)[0]
+                                   fact.entities, position, tables)[0]
         target = fact.entities[position]
         include = ~known_rows(index, fact.relation, rows)
         return (rank_from_scores(scores, target, None),
@@ -531,11 +531,13 @@ def test_candidate_scores_run_once_per_distinct_query(monkeypatch):
             scored.extend((r, position, others) for r in relations)
             return score(params, entities, position, screen, relations)
 
-        def counting_points(params, operands, base_less_bump=None):
-            if params.entity_base.dtype == np.float32:  # the screen's, not a re-score
-                position = next(p for p, op in enumerate(operands) if isinstance(op, slice))
-                formed.append((position, tuple(operands[:position] + operands[position + 1:])))
-            return points(params, operands, base_less_bump)
+        def counting_points(params, operands, tables=None):
+            if tables is not None:  # the screen's, not a re-score
+                # a block of candidates, and a one-column slice per other entity
+                position = next(p for p, op in enumerate(operands) if op.stop - op.start > 1)
+                others = operands[:position] + operands[position + 1:]
+                formed.append((position, tuple(op.start for op in others)))
+            return points(params, operands, tables)
 
         monkeypatch.setattr(evaluation, "_candidate_scores", counting)
         monkeypatch.setattr(model, "_final_points", counting_points)
@@ -716,8 +718,8 @@ def float32_alone_misranks(params, kb):
         for p in range(fact.arity):
             with np.errstate(over="ignore", invalid="ignore"):
                 scores = score_point_group(
-                    screen.params, [_box_tensors(screen.params, fact.relation)],
-                    fact.entities, p, screen.base_less_bump)[0]
+                    params, [_box_tensors(params, fact.relation, dtype=np.float32)],
+                    fact.entities, p, screen.tables)[0]
             expect = reference_position_ranks(params, kb, fact, p)[0]
             if rank_from_scores(scores, fact.entities[p]) != expect:
                 return True
@@ -815,11 +817,11 @@ def test_a_query_is_re_scored_in_float64_at_most_once(monkeypatch, norm_order):
     score = evaluation.score_point_group
     calls = collections.Counter()
 
-    def counting(params, boxes, entities, position, *args, **kwargs):
-        if params.entity_base.dtype == np.float64:
+    def counting(params, boxes, entities, position, tables=None, *args, **kwargs):
+        if tables is None:  # the float64 pass: the screen passes its tables
             slots = tuple(tuple(box[0].tolist()) for box in boxes)
             calls[slots, position, entities[:position] + entities[position + 1:]] += 1
-        return score(params, boxes, entities, position, *args, **kwargs)
+        return score(params, boxes, entities, position, tables, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "score_point_group", counting)
     evaluate(params, kb, "test")
@@ -851,8 +853,8 @@ def test_screen_ranks_a_trained_hierarchy_as_float64():
     for fact in ranked_facts(kb, "test"):
         for p in range(fact.arity):
             gap = np.full(kb.vocab.n_entities, np.inf, dtype=np.float32)
-            score_point_group(screen.params, [screen.relations[fact.relation].box32],
-                              fact.entities, p, screen.base_less_bump, gap[None])
+            score_point_group(params, [screen.relations[fact.relation].box32],
+                              fact.entities, p, screen.tables, gap[None])
             inside += int(np.isfinite(gap).sum())
     assert inside >= 500
     assert_float64_ranks(params, kb)
@@ -869,6 +871,38 @@ def test_screen_ranks_boxes_of_huge_corners_as_float64_without_a_warning():
     kb = kb_with(v, train=[Fact(0, (0, 1)), Fact(0, (1, 2))],
                  test=[Fact(0, (2, 0)), Fact(0, (0, 2)), Fact(0, (1, 1))])
     assert_float64_ranks(params, kb)
+
+
+def test_screen_bound_holds_for_norms_summed_down_the_dimensions():
+    # the screen sums each norm down a C-ordered (d, rows) block, one
+    # dimension after another.  At d = 1000, a point with one coordinate far
+    # outside its box and the rest just beyond a face (the far one first,
+    # in the middle or last), or with every coordinate equal, makes that
+    # sum's rounding large; every float32 score must still lie within the
+    # screen's bound of the float64 score
+    d, far = 1000, (0, 500, 999)
+    params = init_params(vocab_of(7, (1,)), d, np.random.default_rng(6), bounded=False)
+    params.box_a[:], params.box_b[:] = -1.0, 1.0
+    params.entity_bump[:] = 0.0  # the final point of a unary fact is its base
+    base = params.entity_base
+    base[:3] = 1.0 + np.random.default_rng(7).uniform(1e-3, 1e-2, (3, d))
+    base[[0, 1, 2], far] = 1e3
+    base[3:] = np.array([1.5, 3.7, 1e2, 7e2])[:, None]
+    screen = _Screen(params, [0])
+    relation = screen.relations[0]
+    # the column sums differ from pairwise ones on both kinds of point
+    _, _, _, c, w, kappa = relation.box32
+    dv = np.abs(screen.tables[1] - c[0, :, None]) * w[0, :, None] - kappa[0, :, None]
+    squares = dv * dv
+    assert squares.flags.c_contiguous
+    pairwise = np.ascontiguousarray(squares.T).sum(axis=1)
+    differ = squares.sum(axis=0) != pairwise
+    assert differ[:3].any() and differ[3:].any()
+    scores, undecided = _candidate_scores(params, (0,), 0, screen, [0])
+    assert not undecided.any()
+    expect = score_point_group(params, [relation.box], (0,), 0)[0]
+    err = relation.err_abs + relation.err_rel * np.abs(expect)
+    assert (np.abs(scores[0] - expect) <= err).all(), (scores[0] - expect) / err
 
 
 def test_float32_tanh_keeps_half_the_screens_assumed_error():

@@ -1,5 +1,6 @@
 """Scoring model: distances, final embeddings, gradients, checkpoints."""
 import base64
+import functools
 import json
 from dataclasses import replace
 
@@ -179,7 +180,7 @@ SCORERS = {
     "score_gradient": lambda p, kb, f: score_gradient(p, f),
     "score_point_group": lambda p, kb, f: score_point_group(
         p, [model._box_tensors(p, f.relation)], f.entities, 0,
-        p.entity_base - p.entity_bump),
+        (p.entity_bump.T, (p.entity_base - p.entity_bump).T)),
     "rank_fact": lambda p, kb, f: rank_fact(p, kb, f, 0, True),
     "evaluate": lambda p, kb, f: evaluate(p, kb, "test"),
 }
@@ -197,6 +198,23 @@ def test_every_scorer_rejects_a_row_of_another_arity(scorer, entities):
     run(Fact(0, (0, 1)))  # the relation's own arity scores
     with pytest.raises(ValueError, match="^fact arity does not match relation arity$"):
         run(Fact(0, entities))
+
+
+def test_scores_whose_squares_pass_float64_range_are_inf_without_a_warning():
+    # an unbounded model whose entity 2 lies at 1e160: its distances are
+    # finite, their squares are not, and no scorer may warn about it (the
+    # suite turns warnings into errors)
+    p = make_params(n_entities=3, d=3, bounded=False)
+    p.entity_base[2] = 1e160
+    test = (Fact(0, (2, 0)), Fact(0, (0, 1)))
+    kb = KnowledgeBase(p.vocab, (Fact(0, (1, 2)),), (), test, 1)
+    assert score(p, test[0]) == np.inf
+    assert np.isfinite(score(p, test[1]))
+    assert evaluate(p, kb, "test")["n_facts"] == 2
+    for fact in test:
+        for position in range(2):
+            for filtered in (False, True):
+                assert rank_fact(p, kb, fact, position, filtered) >= 1
 
 
 def test_score_zero_when_all_finals_at_box_centers():
@@ -380,7 +398,7 @@ def test_score_candidates_equals_score_batch_bitwise(norm_order, bounded,
     p.entity_base *= 4.0
     wide = int(p.slot_of[2][1])  # a box wide enough to hold some points
     p.box_a[wide], p.box_b[wide] = -3.0, 3.0
-    base_less_bump = p.entity_base - p.entity_bump
+    tables = p.entity_bump.T, (p.entity_base - p.entity_bump).T
     rng = np.random.default_rng(7)
     for rel, arity in enumerate(arities):
         for anchor in (rng.integers(0, n_e, arity), np.full(arity, 5),
@@ -390,7 +408,7 @@ def test_score_candidates_equals_score_batch_bitwise(norm_order, bounded,
                 rows[:, pos] = np.arange(n_e)
                 expect = score_batch(p, rel, rows)
                 got = score_point_group(p, [model._box_tensors(p, rel)], tuple(anchor),
-                                        pos, base_less_bump)[0]
+                                        pos, tables)[0]
                 assert got.shape == expect.shape
                 assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), \
                     (rel, tuple(anchor), pos)
@@ -409,13 +427,13 @@ def scoring_outputs(p, arities, rows_by_relation):
     """Every scoring output as uint64 bit patterns: ``score_point_group`` at
     each position of each row, and ``forward`` scores, ``cache.points`` and
     the ``backward`` gradient tables of each relation's rows."""
-    base_less_bump = p.entity_base - p.entity_bump
+    tables = p.entity_bump.T, (p.entity_base - p.entity_bump).T
     out = []
     for rel, rows in enumerate(rows_by_relation):
         for anchor in rows[:3]:
             for pos in range(arities[rel]):
                 out.append(score_point_group(p, [model._box_tensors(p, rel)], tuple(anchor),
-                                             pos, base_less_bump)[0])
+                                             pos, tables)[0])
         scores, cache = forward(p, rel, rows)
         buf = GradBuffer(p)
         backward(p, cache, np.linspace(-1.0, 2.0, len(rows)), buf)
@@ -465,15 +483,91 @@ def test_score_candidates_equals_score_batch_bitwise_at_one_dimension(arity):
     # at d = 1 a (B, n, 1) gather summed over n would be a contiguous
     # reduction, which numpy does not add left to right from eight terms on
     p = one_dim_params(arity)
-    base_less_bump = p.entity_base - p.entity_bump
+    tables = p.entity_bump.T, (p.entity_base - p.entity_bump).T
     anchor = np.array([0] + [1] * (arity - 1))
     for pos in range(arity):
         rows = np.tile(anchor, (3, 1))
         rows[:, pos] = np.arange(3)
         expect = score_batch(p, 0, rows)
         got = score_point_group(p, [model._box_tensors(p, 0)], tuple(anchor), pos,
-                                base_less_bump)[0]
+                                tables)[0]
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), pos
+
+
+def row_major_scores(p, rel, rows, sum_rows=lambda sq: sq.sum(axis=1)):
+    """Scores of the (B, n) id array ``rows`` by the row-major formula: each
+    position's (B, d) points, their whole-point distance and a norm summed
+    along each row, ``(dv * dv).sum(axis=1)``, which numpy sums pairwise
+    (``sum_rows`` replaces that sum)."""
+    lo, hi = p.effective_bounds(p.slot_of[rel])
+    c = (lo + hi) / 2.0
+    w = hi - lo + 1.0
+    kappa = 0.5 * (w - 1.0) * (w - 1.0 / w)
+    s = p.entity_bump[rows[:, 0]]
+    for q in range(1, rows.shape[1]):
+        s = s + p.entity_bump[rows[:, q]]
+    total = np.zeros(len(rows))
+    for q in range(rows.shape[1]):
+        x = p.entity_base[rows[:, q]] - p.entity_bump[rows[:, q]] + s
+        if p.bounded:
+            x = np.tanh(x)
+        inside = ((lo[q] <= x) & (x <= hi[q])).all(axis=1, keepdims=True)
+        t = np.abs(x - c[q])
+        dv = np.where(inside, t / w[q], t * w[q] - kappa[q])
+        total += np.sqrt(sum_rows(dv * dv))
+    return total
+
+
+def spread_params():
+    """Unbounded, d = 100, entity entries of either sign spread over
+    1e-3..1e3 and boxes as initialised, so a distance's squares span many
+    orders of magnitude; one box is wide enough to hold some points."""
+    p = make_params(n_entities=12, arities=(2, 3), d=100, seed=21, bounded=False)
+    rng = np.random.default_rng(21)
+    for table in (p.entity_base, p.entity_bump):
+        sign = rng.choice([-1.0, 1.0], table.shape)
+        table[:] = sign * 10.0 ** rng.uniform(-3, 3, table.shape)
+    p.entity_base[:3] = rng.uniform(-0.5, 0.5, (3, p.d))
+    p.entity_bump[:3] = rng.uniform(-0.05, 0.05, (3, p.d))
+    p.box_a[p.slot_of[0][0]], p.box_b[p.slot_of[0][0]] = -2.0, 2.0
+    return p
+
+
+def test_float64_scores_sum_each_norm_as_the_row_major_formula(monkeypatch):
+    # every float64 scorer gives the bits of the row-major formula, whose
+    # norms numpy sums pairwise along a row; on this data a sum down the
+    # dimensions in order gives other bits, so a scorer that summed that
+    # way would fail here
+    p = spread_params()
+    n_e = p.vocab.n_entities
+    rng = np.random.default_rng(5)
+    for rel, arity in enumerate((2, 3)):
+        rows = rng.integers(0, n_e, size=(30, arity))
+        rows[:3] = rng.integers(0, 3, size=(3, arity))  # points inside the wide box
+        expect = row_major_scores(p, rel, rows).view(np.uint64)
+        sequential = row_major_scores(p, rel, rows,
+                                      lambda sq: functools.reduce(np.add, sq.T))
+        assert not np.array_equal(sequential.view(np.uint64), expect)
+        assert np.array_equal(score_batch(p, rel, rows).view(np.uint64), expect)
+        got = np.array([score(p, Fact(rel, tuple(int(e) for e in row))) for row in rows])
+        assert np.array_equal(got.view(np.uint64), expect)
+        box = [model._box_tensors(p, rel)]
+        for anchor in rows[:4]:
+            for pos in range(arity):
+                every = np.tile(anchor, (n_e, 1))
+                every[:, pos] = np.arange(n_e)
+                expect = row_major_scores(p, rel, every).view(np.uint64)
+                got = score_point_group(p, box, tuple(anchor), pos)[0]
+                assert np.array_equal(got.view(np.uint64), expect), (rel, pos)
+                for ids in (np.array([7]), np.array([2, 9])):
+                    got = score_point_group(p, box, tuple(anchor), pos, ids=ids)[0]
+                    assert np.array_equal(got.view(np.uint64), expect[ids]), (rel, pos, ids)
+                monkeypatch.setattr(model, "_BLOCK_BYTES", 8)  # one row per block
+                assert len(row_blocks(n_e, 8 * p.d)) == n_e
+                got = score_point_group(p, box, tuple(anchor), pos)[0]
+                assert np.array_equal(got.view(np.uint64), expect), (rel, pos)
+                assert np.array_equal(score_batch(p, rel, every).view(np.uint64), expect)
+                monkeypatch.undo()
 
 
 def test_final_embedding_adds_the_bump_sum_left_to_right():
@@ -911,7 +1005,7 @@ def test_score_candidates_on_an_id_array_equals_all_candidates_bitwise(
                     norm_order=norm_order, bounded=bounded)
     p.per_dim_branch = per_dim_branch
     p.entity_base *= 3.0
-    base_less_bump = p.entity_base - p.entity_bump
+    tables = p.entity_bump.T, (p.entity_base - p.entity_bump).T
     monkeypatch.setattr(model, "_BLOCK_BYTES", 240)
     rng = np.random.default_rng(3)
     ids = np.array([0, 4, 5, 6, 11, 17, 22, 22])
@@ -919,6 +1013,6 @@ def test_score_candidates_on_an_id_array_equals_all_candidates_bitwise(
         anchor = tuple(int(e) for e in rng.integers(0, n_e, arity))
         for pos in range(arity):
             box = [model._box_tensors(p, rel)]
-            every = score_point_group(p, box, anchor, pos, base_less_bump)[0]
+            every = score_point_group(p, box, anchor, pos, tables)[0]
             got = score_point_group(p, box, anchor, pos, ids=ids)[0]
             assert np.array_equal(got.view(np.uint64), every[ids].view(np.uint64)), (rel, pos)

@@ -551,6 +551,18 @@ def test_refreshing_an_entity_past_float32_range_writes_no_warning():
     assert p.entity_base[0, 0] == 1e39
 
 
+def test_training_on_squares_past_float32_range_aborts_without_a_warning():
+    # entity 0's base fits float32 but its distances' squares do not: the
+    # float32 kernel's norms are inf, so the loss is not finite and the
+    # epoch aborts, with no warning (the suite turns warnings into errors)
+    kb = random_binary_kb(n_entities=6, n_relations=1, n_facts=12, seed=13)
+    p = init_params(kb.vocab, 3, stream_rng(13, STREAM_INIT), bounded=False)
+    p.entity_base[0] = 1e20
+    assert any(0 in f.entities for f in kb.train)
+    with pytest.raises(TrainingAbort):
+        train_epoch(p, OptimizerState(), kb, TrainConfig(seed=13, batch_size=4))
+
+
 def test_train_model_checkpoint_cadence():
     kb = random_binary_kb(n_entities=6, n_relations=1, n_facts=10, seed=9)
     p = init_params(kb.vocab, 3, stream_rng(9, STREAM_INIT))
