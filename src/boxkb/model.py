@@ -192,7 +192,7 @@ def _box_shape(lo: np.ndarray, hi: np.ndarray):
 
 def _distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
               w: np.ndarray, kappa: np.ndarray, per_dim: bool,
-              overwrite: bool = False):
+              overwrite: bool = False, branch: np.ndarray | None = None):
     """Element-wise distance of points ``x`` (d, rows), one point per
     column, to one box given by its (d,) vectors.
 
@@ -201,12 +201,15 @@ def _distance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
     coordinate with ``per_dim``, else one flag per point, a (1, rows) row).
     This is the only place the piecewise distance is written.  With
     ``overwrite`` the caller gives up ``x``: z and then t are formed in its
-    buffer, so z is t.
+    buffer, so z is t.  A caller that already knows the branch of these
+    points (``backward``, from ``forward``) passes it as ``branch`` and the
+    inside test is not run again.
     """
     lo, hi, c, w = lo[:, None], hi[:, None], c[:, None], w[:, None]
     kappa = kappa[:, None]
-    inside_dim = inside(lo, hi, x)
-    branch = inside_dim if per_dim else inside_dim.all(axis=0, keepdims=True)
+    if branch is None:
+        inside_dim = inside(lo, hi, x)
+        branch = inside_dim if per_dim else inside_dim.all(axis=0, keepdims=True)
     z = np.subtract(x, c, out=x if overwrite else None)
     t = np.abs(z, out=z if overwrite else None)
     dv = t * w
@@ -252,6 +255,12 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
 
+def _rows(table: np.ndarray, op) -> np.ndarray:
+    """Rows ``op`` of ``table``: a slice by basic indexing (a view), an id
+    or id array by ``take``, which gives fancy indexing's rows in less time."""
+    return table[op] if isinstance(op, slice) else table.take(op, axis=0)
+
+
 def _final_points(params: ModelParams, operands, tables=None):
     """Yield each position's bounded final points in turn, one point per
     column: (base - bump) of its operand plus S, the bump sum added left to
@@ -267,12 +276,12 @@ def _final_points(params: ModelParams, operands, tables=None):
         bump, base_less_bump = params.entity_bump, None
     else:
         bump, base_less_bump = tables[0].T, tables[1].T
-    s = bump[operands[0]].T
+    s = _rows(bump, operands[0]).T
     for op in operands[1:]:
-        s = s + bump[op].T
+        s = s + _rows(bump, op).T
     for op in operands:
-        own = (params.entity_base[op] - bump[op] if base_less_bump is None
-               else base_less_bump[op]).T
+        own = (_rows(params.entity_base, op) - _rows(bump, op) if base_less_bump is None
+               else _rows(base_less_bump, op)).T
         pts = own + s
         yield np.tanh(pts, out=pts) if params.bounded else pts
 
@@ -302,11 +311,12 @@ def _box_tensors(params: ModelParams, relation: int, slack: float = 0.0, dtype=N
 
 
 def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
-                    face_gap=None) -> np.ndarray:
+                    face_gap=None) -> tuple[np.ndarray, np.ndarray]:
     """Norm of the distance of each point of ``x`` (d, rows) to box ``p`` of
     ``box`` (a ``_box_tensors`` tuple), formed in ``x``'s buffer (``x`` is
     given up, as with ``_distance``'s ``overwrite``) and summed down each
-    column; ``face_gap`` as in ``score_point_group``.  numpy picks the order
+    column, and the branch mask ``_distance`` chose for those points;
+    ``face_gap`` as in ``score_point_group``.  numpy picks the order
     of that sum from the layout: an F-ordered ``x`` (or one column) is
     summed pairwise, bit for bit as the rows of its transpose would be, and
     a C-contiguous one top to bottom, one vectorised pass per dimension.
@@ -322,22 +332,26 @@ def _position_norms(params: ModelParams, x: np.ndarray, box: tuple, p: int,
             depth = ((w[p, :, None] - 1.0) * 0.5 - t[:, cols]).min(axis=0)
             face_gap[cols] = np.minimum(face_gap[cols], depth)
     if params.norm_order == 1:
-        return np.abs(dv, out=dv).sum(axis=0)
-    return np.sqrt(np.multiply(dv, dv, out=dv).sum(axis=0))
+        return np.abs(dv, out=dv).sum(axis=0), branch
+    return np.sqrt(np.multiply(dv, dv, out=dv).sum(axis=0)), branch
 
 
 @dataclass
 class ForwardCache:
     """What ``backward`` needs from ``forward``: the relation's boxes (its
     ``_box_tensors`` tuple), the scored rows, their final points (n, B, d),
-    row-major (``points[p]`` is position p's), and per-position norms (B, n).
-    Everything else is recomputed one position at a time, to keep memory
+    row-major (``points[p]`` is position p's), per-position norms (B, n)
+    and the inside branch each point took, (n, B, 1) whole-point flags or
+    with ``per_dim_branch`` an (n, B, d) mask, so ``backward`` takes the
+    same branch without testing again.  The distance terms (offset,
+    distance vector) are recomputed one position at a time, to keep memory
     low.
     """
     box: tuple
     ents: np.ndarray
     points: np.ndarray
     norms: np.ndarray
+    branch: np.ndarray
 
 
 def forward(params: ModelParams, relation: int, ents: np.ndarray
@@ -346,7 +360,8 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
     formed one ``row_blocks`` block of rows at a time in the entity tables'
     dtype.  ``_final_points`` indexes the tables' transposes, so each
     block's points are the F-ordered (d, rows) transpose of its row-major
-    points: the cache keeps those, and the norms sum them pairwise."""
+    points: the cache keeps those and each point's branch, and the norms
+    sum them pairwise."""
     ents = np.asarray(ents, dtype=np.int64)
     box = _box_tensors(params, relation)
     _check_arity(box[0], ents.shape[1])
@@ -355,15 +370,18 @@ def forward(params: ModelParams, relation: int, ents: np.ndarray
     dtype = params.entity_base.dtype
     points = np.empty((ents.shape[1], ents.shape[0], params.d), dtype=dtype)
     norms = np.empty(ents.shape, dtype=dtype)
+    branches = np.empty((*points.shape[:2], params.d if params.per_dim_branch else 1),
+                        dtype=bool)
     total = np.zeros(ents.shape[0], dtype=dtype)
     with np.errstate(over="ignore"):  # a norm past the dtype's range is inf
         for blk in row_blocks(ents.shape[0], points.itemsize * params.d):
             block_total = total[blk]
             for p, x in enumerate(_final_points(params, ents[blk].T)):
                 points[p, blk] = x.T
-                norms[blk, p] = _position_norms(params, x, box, p)
+                norms[blk, p], branch = _position_norms(params, x, box, p)
+                branches[p, blk] = branch.T
                 block_total += norms[blk, p]
-    return total, ForwardCache(box, ents, points, norms)
+    return total, ForwardCache(box, ents, points, norms, branches)
 
 
 def score_point_group(params: ModelParams, boxes: list, entities, position: int,
@@ -413,7 +431,8 @@ def score_point_group(params: ModelParams, boxes: list, entities, position: int,
                 for k, box in enumerate(boxes):
                     gap = None if face_gaps is None else face_gaps[k, blk]
                     block_totals[k] += _position_norms(
-                        params, x if k == last else x.copy(order="K"), box, q, face_gap=gap)
+                        params, x if k == last else x.copy(order="K"), box, q,
+                        face_gap=gap)[0]
     return totals
 
 
@@ -458,12 +477,17 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
     """Add sum_b weights[b] * d(score_b)/d(params) into ``buf``.
 
     ``weights`` holds one upstream d(loss)/d(score) factor per row of the
-    ``forward`` call that made ``cache``.  The gradients are computed in the
-    entity tables' dtype and added into ``buf``; ``to_corners`` routes the
-    box gradients by the box tables, which a ``float32_entities`` view
-    shares in float64.  Subgradient conventions: boundary points take the
-    inside branch, |z| contributes 0 at z = 0, and the L2 norm has zero
-    gradient at the origin.
+    ``forward`` call that made ``cache``.  Each point takes the branch
+    ``forward`` chose for it: the cache's boxes and branch masks are reused,
+    and no inside test is run again.  Each derivative factor starts from its
+    outside formula and the inside points (whole-point rows, or with
+    ``per_dim_branch`` masked coordinates) are written over, element by
+    element the same operations as a select between the two.  The gradients
+    are computed in the entity tables' dtype and added into ``buf``;
+    ``to_corners`` routes the box gradients by the box tables, which a
+    ``float32_entities`` view shares in float64.  Subgradient conventions:
+    boundary points take the inside branch, |z| contributes 0 at z = 0, and
+    the L2 norm has zero gradient at the origin.
     """
     dtype = params.entity_base.dtype
     weights = np.asarray(weights, dtype=dtype)
@@ -472,9 +496,10 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
     slots, lo, hi, c, w, kappa = cache.box
     g_raw = np.empty((B, n, params.d), dtype=dtype)
     for p, x in enumerate(cache.points):
+        branch = cache.branch[p]  # (B, 1) flags, or (B, d) with per_dim_branch
         # the transposes of F-ordered results: (B, d) C-ordered arrays
-        dv, z, t, branch = (a.T for a in _distance(x.T, lo[p], hi[p], c[p], w[p],
-                                                   kappa[p], params.per_dim_branch))
+        dv, z, t, _ = (a.T for a in _distance(x.T, lo[p], hi[p], c[p], w[p], kappa[p],
+                                              params.per_dim_branch, branch=branch.T))
         if params.norm_order == 1:
             g_dv = np.sign(dv)
             g_dv *= weights[:, None]
@@ -487,8 +512,18 @@ def backward(params: ModelParams, cache: ForwardCache, weights: np.ndarray,
         wp = w[p]
         inv_w2 = 1.0 / (wp * wp)
         kappa_p = wp - 0.5 - 0.5 * inv_w2
-        g_w = (g_dv * np.where(branch, t * -inv_w2, t - kappa_p)).sum(axis=0)
-        g_z = g_dv * np.where(branch, 1.0 / wp, wp)
+        # each starts as the outside formula; the inside points are written over
+        dv_dw = t - kappa_p
+        g_z = g_dv * wp
+        if params.per_dim_branch:
+            np.multiply(t, -inv_w2, out=dv_dw, where=branch)
+            np.multiply(g_dv, 1.0 / wp, out=g_z, where=branch)
+        else:
+            rows_in = np.flatnonzero(branch)
+            if rows_in.size:
+                dv_dw[rows_in] = t[rows_in] * -inv_w2
+                g_z[rows_in] = g_dv[rows_in] * (1.0 / wp)
+        g_w = np.multiply(g_dv, dv_dw, out=dv_dw).sum(axis=0)
         g_z *= np.sign(z)
         g_c = -g_z.sum(axis=0)
         g_lo = 0.5 * g_c - g_w

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from boxkb import model
 from boxkb.evaluation import evaluate, rank_fact
@@ -380,6 +381,152 @@ def test_float32_backward_sums_each_entity_in_occurrence_order(arity):
         assert table.dtype == np.float64
         assert np.array_equal(table.view(np.uint64),
                               expect.astype(np.float64).view(np.uint64)), name
+
+
+def reselecting_backward(params: ModelParams, cache, weights, buf: GradBuffer) -> None:
+    """``backward`` as written before it took each point's branch from
+    ``forward``: it runs the inside test again for every position (through
+    ``_distance``) and selects each derivative factor from two (B, d)
+    ``np.where`` tables.  ``backward`` must match it bit for bit."""
+    dtype = params.entity_base.dtype
+    weights = np.asarray(weights, dtype=dtype)
+    ents = cache.ents
+    B, n = ents.shape
+    slots, lo, hi, c, w, kappa = cache.box
+    g_raw = np.empty((B, n, params.d), dtype=dtype)
+    for p, x in enumerate(cache.points):
+        dv, z, t, branch = (a.T for a in model._distance(x.T, lo[p], hi[p], c[p], w[p],
+                                                         kappa[p], params.per_dim_branch))
+        if params.norm_order == 1:
+            g_dv = np.sign(dv)
+            g_dv *= weights[:, None]
+        else:
+            s = cache.norms[:, p]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                g_dv = dv * np.where(s > 0.0, weights / s, 0.0)[:, None]
+        wp = w[p]
+        inv_w2 = 1.0 / (wp * wp)
+        kappa_p = wp - 0.5 - 0.5 * inv_w2
+        g_w = (g_dv * np.where(branch, t * -inv_w2, t - kappa_p)).sum(axis=0)
+        g_z = g_dv * np.where(branch, 1.0 / wp, wp)
+        g_z *= np.sign(z)
+        g_c = -g_z.sum(axis=0)
+        g_lo = 0.5 * g_c - g_w
+        g_hi = 0.5 * g_c + g_w
+        if params.bounded:
+            g_lo = g_lo * (1.0 - lo[p] * lo[p])
+            g_hi = g_hi * (1.0 - hi[p] * hi[p])
+        slot = int(slots[p])
+        g_a, g_b = params.to_corners(slot, g_lo, g_hi)
+        buf.boxa[slot] += g_a
+        buf.boxb[slot] += g_b
+        buf.box_touched[slot] = True
+        if params.bounded:
+            np.multiply(g_z, 1.0 - x * x, out=g_raw[:, p, :])
+        else:
+            g_raw[:, p, :] = g_z
+    flat = ents.ravel()
+    order = np.argsort(flat, kind="stable")
+    sorted_ids = flat[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    rows = sorted_ids[starts]
+    indptr = np.append(starts, flat.size)
+    ones = np.ones(flat.size, dtype=dtype)
+    g_base = (csr_array((ones, order, indptr), shape=(rows.size, B * n))
+              @ g_raw.reshape(B * n, params.d))
+    g_occ = csr_array((ones, order // n, indptr), shape=(rows.size, B)) @ g_raw.sum(axis=1)
+    buf.base[rows] += g_base
+    buf.bump[rows] += g_occ - g_base
+    buf.base_touched[rows] = True
+    buf.bump_touched[rows] = True
+
+
+def branch_edge_params(norm_order, bounded, per_dim_branch) -> ModelParams:
+    """Relations of arity 1, 2, 3 and a binary one whose positions share a
+    slot, where entities 0-2 sit at the origin (base and bump 0), so a row
+    of them puts every point at 0 exactly, bounded or not.  Relation 1's
+    first box is the point 0 itself (its rows of origin entities have norm
+    0 there) and its second a wide box with its lower face at 0 in
+    dimension 0 (those rows' points lie on that face); relation 2's middle
+    box is wide, so both branches are taken."""
+    p = make_params(n_entities=12, arities=(1, 2, 3, 2), d=4, seed=8,
+                    norm_order=norm_order, bounded=bounded)
+    p.per_dim_branch = per_dim_branch
+    p.merge_slots([(int(p.slot_of[3][0]), int(p.slot_of[3][1]))])
+    p.entity_base *= 2.5
+    p.entity_base[:3] = p.entity_bump[:3] = 0.0
+    point, faced = p.slot_of[1]
+    p.box_a[point] = p.box_b[point] = 0.0
+    p.box_a[faced], p.box_b[faced] = -2.5, 2.5
+    p.box_a[faced, 0] = 0.0
+    wide = int(p.slot_of[2][1])
+    p.box_a[wide], p.box_b[wide] = -2.0, 2.0
+    return p
+
+
+@pytest.mark.parametrize("norm_order", [1, 2])
+@pytest.mark.parametrize("bounded", [True, False])
+@pytest.mark.parametrize("per_dim_branch", [False, True])
+@pytest.mark.parametrize("kernel_of", [lambda p: p, float32_entities],
+                         ids=["float64", "float32"])
+def test_backward_equals_reselecting_backward_bitwise(monkeypatch, norm_order, bounded,
+                                                      per_dim_branch, kernel_of):
+    # 37 rows in blocks of five (float64) or ten (float32) rows; the first
+    # six rows of each relation hold only origin entities
+    p = branch_edge_params(norm_order, bounded, per_dim_branch)
+    kernel = kernel_of(p)
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 160)
+    B = 37
+    assert len(row_blocks(B, kernel.entity_base.itemsize * p.d)) >= 4
+    rng = np.random.default_rng(17)
+    weights = np.linspace(-1.0, 2.0, B)  # weight 0 at row 12
+    branches_taken = set()
+    for rel, arity in enumerate((1, 2, 3, 2)):
+        ents = rng.integers(0, 12, size=(B, arity))
+        ents[:6] = rng.integers(0, 3, size=(6, arity))
+        _, cache = forward(kernel, rel, ents)
+        if rel == 1:
+            assert (cache.norms[:6, 0] == 0.0).all()
+            assert (cache.points[1, :6, 0] == 0.0).all()
+            assert cache.branch[1, :6].all()  # on the face, so inside
+        branches_taken.update(np.unique(cache.branch).tolist())
+        got, expect = GradBuffer(p), GradBuffer(p)
+        backward(kernel, cache, weights, got)
+        reselecting_backward(kernel, cache, weights, expect)
+        for name in ("base", "bump", "boxa", "boxb"):
+            assert np.array_equal(getattr(got, name).view(np.uint64),
+                                  getattr(expect, name).view(np.uint64)), (rel, name)
+        for name in ("base_touched", "bump_touched", "box_touched"):
+            assert np.array_equal(getattr(got, name), getattr(expect, name)), (rel, name)
+    assert branches_taken == {False, True}
+
+
+def test_only_forward_runs_the_inside_test(monkeypatch):
+    # forward decides each point's branch once per block and position;
+    # backward takes it from the cache, so score_gradient runs the test only
+    # in its forward call
+    calls = []
+    real_inside = model.inside
+
+    def counted_inside(lo, hi, x):
+        calls.append(x.shape)
+        return real_inside(lo, hi, x)
+
+    monkeypatch.setattr(model, "inside", counted_inside)
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 160)
+    rng = np.random.default_rng(4)
+    for per_dim_branch in (False, True):
+        p = make_params(n_entities=9, arities=(3,), d=4, seed=2)
+        p.per_dim_branch = per_dim_branch
+        ents = rng.integers(0, 9, size=(23, 3))
+        calls.clear()
+        _, cache = forward(p, 0, ents)
+        assert len(calls) == len(row_blocks(23, 8 * p.d)) * 3 == 15
+        calls.clear()
+        backward(p, cache, np.ones(23), GradBuffer(p))
+        assert calls == []
+        score_gradient(p, Fact(0, (1, 2, 3)))
+        assert len(calls) == 3  # one block of one row, three positions
 
 
 @pytest.mark.parametrize("norm_order", [1, 2])
