@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import sys
 import time
 import typing
@@ -30,7 +31,7 @@ from .evaluation import evaluate, ranked_facts
 from .exact_fit import ExactFitError, TableFormatError, fit, parse_table
 from .kb import (FORMAT_TRIPLE, FORMATS, SPLITS, KBFormatError, KnowledgeBase,
                  Vocabulary, augment_inverses, parse_kb)
-from .model import init_params, load_checkpoint, save_checkpoint
+from .model import init_params, load_checkpoint, save_checkpoint, staged
 from .rules import (InconsistentRulesError, RuleError, UnsupportedRuleError,
                     box_stats, check_capture, check_tolerance,
                     deductive_closure, inject, parse_rules)
@@ -208,11 +209,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_config_file(cfg, outdir / "config.txt")
     best = {"mrr": None, "epoch": None}
-    best_path = outdir / "best.json"
+    latest_path, best_path = outdir / "checkpoint.json", outdir / "best.json"
     stats: dict = {}
 
     def on_checkpoint(epoch: int, params, metrics: dict) -> None:
-        save_checkpoint(params, outdir / "checkpoint.json")
+        save_checkpoint(params, latest_path)
         mrr = None
         if kb.valid:
             mrr = evaluate(params, kb, "valid", workers=cfg.workers)["mrr"]
@@ -220,7 +221,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         # with no valid split, best is simply the latest checkpoint
         if mrr is None or best["mrr"] is None or mrr > best["mrr"]:
             best.update(mrr=mrr, epoch=epoch)
-            save_checkpoint(params, best_path)
+            # the bytes just saved, not a second encode of the same params
+            with staged(best_path) as tmp:
+                shutil.copyfile(latest_path, tmp)
 
     with open(outdir / "metrics.jsonl", "w", encoding="utf-8") as metrics_fh:
         history = train_model(params, kb, cfg,

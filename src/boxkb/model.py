@@ -50,8 +50,11 @@ and box corners are squashed through tanh before any distance arithmetic.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -582,11 +585,15 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     ``load_checkpoint`` gives back ``params`` bit for bit, and equal params
     give byte-identical files.
 
-    The file is written beside ``path`` and renamed over it, so ``path``
-    holds either the previous checkpoint or the new one, never a torn write.
+    The file is the text ``json.dump`` writes for the whole object, then a
+    newline; only the header goes through the encoder.  Each table's base64
+    text is written to the file as it is made, one table at a time, since
+    the base64 alphabet needs no JSON escape.  The file is written beside
+    ``path`` and renamed over it (``staged``), so ``path`` holds either the
+    previous checkpoint or the new one, never a torn write.
     """
     vocab = params.vocab
-    payload = {
+    header = json.dumps({
         "version": CHECKPOINT_VERSION,
         "entities": vocab.entity_names,
         "relations": vocab.relation_names,
@@ -597,16 +604,24 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         "bounded": params.bounded,
         "per_dim_branch": params.per_dim_branch,
         "slot_of": [slots.tolist() for slots in params.slot_of],
-    }
-    for name in _TABLES:
-        table = np.asarray(getattr(params, name), dtype="<f8")
-        payload[name] = base64.b64encode(table.tobytes()).decode("ascii")
-    path = Path(path)
+    })
+    with staged(Path(path)) as tmp, open(tmp, "wb") as fh:
+        fh.write(header[:-1].encode("ascii"))  # the object stays open
+        for name in _TABLES:
+            table = np.ascontiguousarray(getattr(params, name), dtype="<f8")
+            fh.write(f', "{name}": "'.encode("ascii"))
+            fh.write(binascii.b2a_base64(table, newline=False))
+            fh.write(b'"')
+        fh.write(b"}\n")
+
+
+@contextmanager
+def staged(path: Path) -> Iterator[Path]:
+    """A sibling ``.tmp`` path to write ``path``'s new content to: renamed
+    over ``path`` when the block ends, removed if the block raises."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

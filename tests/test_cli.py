@@ -291,6 +291,61 @@ def test_train_runs_are_byte_identical(capsys, data):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def _train_with_valid_mrrs(capsys, data, monkeypatch, mrrs):
+    """Train 4 epochs with a checkpoint every 2, the validation MRR of each
+    checkpoint step taken from ``mrrs``; return the output directory, the
+    paths ``save_checkpoint`` wrote and the bytes of each."""
+    outdir = data["tmp"] / "run"
+    saved = []
+
+    def recording_save(params, path):
+        save_checkpoint(params, path)
+        saved.append((path, Path(path).read_bytes()))
+
+    steps = iter(mrrs)
+    monkeypatch.setattr(cli, "save_checkpoint", recording_save)
+    monkeypatch.setattr(cli, "evaluate", lambda *args, **kw: {"mrr": next(steps)})
+    code, out, err = run_main(capsys, train_argv(data, outdir))
+    assert code == 0, err
+    return outdir, saved, json.loads(out)
+
+
+def test_train_encodes_each_checkpoint_step_once(capsys, data, monkeypatch):
+    # the best improves at both steps, and each is still encoded once
+    outdir, saved, summary = _train_with_valid_mrrs(capsys, data, monkeypatch,
+                                                    [0.25, 0.5])
+    assert [path for path, _ in saved] == [outdir / "checkpoint.json"] * 2
+    assert summary["best"] == {"mrr": 0.5, "epoch": 3}
+    assert (outdir / "best.json").read_bytes() == saved[-1][1]
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "best.json", "checkpoint.json", "config.txt", "metrics.jsonl"]
+
+
+def test_best_json_is_the_checkpoint_of_its_epoch(capsys, data, monkeypatch):
+    outdir, saved, summary = _train_with_valid_mrrs(capsys, data, monkeypatch,
+                                                    [0.5, 0.25])
+    assert summary["best"] == {"mrr": 0.5, "epoch": 1}
+    assert (outdir / "best.json").read_bytes() == saved[0][1]
+    assert (outdir / "checkpoint.json").read_bytes() == saved[1][1] != saved[0][1]
+
+
+def test_best_json_is_left_alone_when_the_mrr_drops(capsys, data, monkeypatch):
+    outdir = data["tmp"] / "run"
+    best = outdir / "best.json"
+    mrrs, seen = iter([0.5, 0.25]), []
+
+    def valid_mrr(*args, **kw):
+        if best.exists():  # the second step: best.json as the first left it
+            stat = best.stat()
+            seen.append((stat.st_ino, stat.st_mtime_ns, best.read_bytes()))
+        return {"mrr": next(mrrs)}
+
+    monkeypatch.setattr(cli, "evaluate", valid_mrr)
+    assert run_main(capsys, train_argv(data, outdir))[0] == 0
+    stat = best.stat()
+    assert seen == [(stat.st_ino, stat.st_mtime_ns, best.read_bytes())]
+
+
 def test_train_with_rules_and_nary_format(capsys, tmp_path):
     train = write_lines(tmp_path / "train.tsv", [
         "r\ta\tb", "r\tb\tc", "s\ta\tc", "s\tc\ta", "r\tc\ta"])

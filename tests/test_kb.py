@@ -32,6 +32,21 @@ def test_parse_triple_basic(tmp_path):
     assert kb.n_scored_relations == 1
 
 
+@pytest.mark.parametrize("fmt,fact,hashed", [
+    (FORMAT_TRIPLE, "a\tr\tb", "#c\tr\tb"),
+    (FORMAT_NARY, "r\ta\tb", "#r\tc\tb"),
+])
+def test_a_fact_whose_first_column_starts_with_hash_is_a_comment(tmp_path, fmt,
+                                                                  fact, hashed):
+    # a '#' past the first column is part of a name
+    path = tmp_path / "train.tsv"
+    later = fact.replace("\tb", "\tb#2")
+    write(path, [fact, hashed, "  " + hashed, "\t", later])
+    kb = parse_kb(path, fmt=fmt)
+    assert kb.vocab.entity_names == ["a", "b", "b#2"]
+    assert len(kb.train) == 2
+
+
 def test_interning_is_first_appearance_order(tmp_path):
     train = tmp_path / "train.tsv"
     valid = tmp_path / "valid.tsv"

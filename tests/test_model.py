@@ -1,6 +1,8 @@
 """Scoring model: distances, final embeddings, gradients, checkpoints."""
 import base64
+import binascii
 import functools
+import io
 import json
 from dataclasses import replace
 
@@ -838,11 +840,12 @@ def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
     assert sorted(tmp_path.iterdir()) == [path]
     before = path.read_bytes()
 
-    def torn_dump(obj, fh):
-        fh.write('{"version": 1, "entit')
-        raise OSError("disk full")
+    class TornFile(io.FileIO):
+        def write(self, data):
+            super().write(b'{"version": 1, "entit')
+            raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", torn_dump)
+    monkeypatch.setattr(model, "open", TornFile, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(make_params(n_entities=3, d=4, seed=4), path)
     assert path.read_bytes() == before
@@ -851,6 +854,99 @@ def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(make_params(n_entities=3, d=4, seed=4), fresh)
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_checkpoint_save_that_fails_among_the_tables_leaves_no_trace(tmp_path,
+                                                                     monkeypatch):
+    # the third table's text fails after the header and two tables are written
+    path = tmp_path / "ck.json"
+    save_checkpoint(make_params(n_entities=3, d=4, seed=2), path)
+    before = path.read_bytes()
+    encoded, real_b2a = [], binascii.b2a_base64
+
+    def failing_b2a(data, **kw):
+        encoded.append(len(encoded))
+        if len(encoded) == 3:
+            raise OSError("disk full")
+        return real_b2a(data, **kw)
+
+    monkeypatch.setattr(binascii, "b2a_base64", failing_b2a)
+    for target in (path, tmp_path / "fresh.json"):
+        encoded.clear()
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(make_params(n_entities=3, d=4, seed=4), target)
+        assert encoded == [0, 1, 2]
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+
+def reference_save_checkpoint(params: ModelParams, path) -> None:
+    """A reference version 2 writer: the whole object through ``json.dump``,
+    then a newline.  ``save_checkpoint`` must write the same bytes."""
+    vocab = params.vocab
+    payload = {
+        "version": 2,
+        "entities": vocab.entity_names,
+        "relations": vocab.relation_names,
+        "arities": vocab.relation_arities,
+        "d": params.d,
+        "n_slots": params.n_slots,
+        "norm_order": params.norm_order,
+        "bounded": params.bounded,
+        "per_dim_branch": params.per_dim_branch,
+        "slot_of": [slots.tolist() for slots in params.slot_of],
+    }
+    for name in TABLES:
+        table = np.asarray(getattr(params, name), dtype="<f8")
+        payload[name] = base64.b64encode(table.tobytes()).decode("ascii")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+def assert_writes_reference_bytes(params: ModelParams, directory) -> None:
+    save_checkpoint(params, directory / "ck.json")
+    reference_save_checkpoint(params, directory / "ref.json")
+    assert (directory / "ck.json").read_bytes() == (directory / "ref.json").read_bytes()
+    assert_same_params(load_checkpoint(directory / "ck.json"), params)
+
+
+ESCAPED_NAMES = ['"', "\\", "\t", "\x01", "/", "é", "中文", "a b", ""]
+
+
+def _merged(p: ModelParams) -> ModelParams:
+    p.merge_slots([(0, 3), (1, 2)])
+    return p
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: init_params(
+        Vocabulary(ESCAPED_NAMES, ESCAPED_NAMES[::-1], [2] * len(ESCAPED_NAMES)),
+        3, np.random.default_rng(1)), id="escaped-names"),
+    pytest.param(lambda: make_params(n_entities=0, arities=(2, 1)), id="no-entities"),
+    pytest.param(lambda: make_params(arities=()), id="no-relations"),
+    pytest.param(lambda: make_params(n_entities=0, arities=()), id="empty"),
+    pytest.param(lambda: make_params(arities=(2, 3), d=1), id="d1"),
+    pytest.param(lambda: _merged(make_params(arities=(2, 3))), id="merged-slots"),
+    pytest.param(lambda: make_params(norm_order=1), id="norm-order-1"),
+    pytest.param(lambda: make_params(bounded=False), id="unbounded"),
+    pytest.param(lambda: replace(make_params(), per_dim_branch=True), id="per-dim-branch"),
+])
+def test_checkpoint_bytes_equal_the_reference_writer(tmp_path, make):
+    assert_writes_reference_bytes(make(), tmp_path)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.text(max_size=6), unique=True, max_size=5),
+       st.lists(st.tuples(st.text(max_size=6), st.integers(1, 3)),
+                unique_by=lambda rel: rel[0], max_size=3),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_checkpoint_bytes_equal_the_reference_writer_for_any_names(
+        tmp_path_factory, entities, relations, d, seed):
+    vocab = Vocabulary(entities, [name for name, _ in relations],
+                       [arity for _, arity in relations])
+    params = init_params(vocab, d, np.random.default_rng(seed))
+    assert_writes_reference_bytes(params, tmp_path_factory.mktemp("ck"))
 
 
 def save_checkpoint_v1(params: ModelParams, path) -> None:
