@@ -276,6 +276,7 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 
 def cmd_fit_exact(args: argparse.Namespace) -> int:
     _require("truth table", args.table)
+    _require("output directory", os.path.dirname(args.out or ""))
     table = parse_table(args.table)
     model = fit(table)
     if args.out:
@@ -422,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(exc.diagnostic), file=sys.stderr)
         return 2
     except (ConfigError, KBFormatError, RuleError, TableFormatError,
-            ExactFitError, OSError) as exc:
+            ExactFitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

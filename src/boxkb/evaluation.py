@@ -8,7 +8,9 @@ against all |E| single-entity substitutions at that position.  Its rank is
 i.e. ties resolve to the mean rank (rounded half up to keep ranks integral),
 so a constant-score model gets the middle rank rather than rank 1.  Filtered
 ranking additionally drops candidates that are themselves known true facts
-(in any split), except the target itself; the filtered numbers are the
+(in any split), except the target itself: one pass over the |E| scores
+counts the better and tied candidates, and the filtered counts are those
+less the same counts over the known answers.  The filtered numbers are the
 headline, raw numbers ride along.  Relations at or above
 kb.n_scored_relations (inverse-augmentation helpers) are skipped.
 
@@ -74,7 +76,7 @@ the same candidate points.  ``evaluate`` groups its rankings by that key
 and, group by group in sorted order (one group per worker live at a time),
 forms each block's float32 points once (``model.score_point_group``); each
 relation of the group then takes its own distances, screen, float64
-re-score, filter mask and ranks, so every rank is the one the query gets
+re-score, filter and ranks, so every rank is the one the query gets
 alone.  With several workers, each takes one strided shard of the sorted
 groups, so the pool's bookkeeping does not grow with the query count.
 
@@ -94,17 +96,20 @@ from .model import ModelParams, _box_tensors, score_point_group
 
 
 def rank_from_scores(scores: np.ndarray, target: int,
-                     include: np.ndarray | None = None) -> int:
-    """Mean-rank position of ``scores[target]`` among included candidates."""
+                     known: np.ndarray) -> tuple[int, int]:
+    """(raw, filtered) mean-tie rank of ``scores[target]``: the filtered
+    rank drops the candidates ``known`` (distinct entity ids), except the
+    target itself."""
     s = np.asarray(scores, dtype=np.float64)
     t = s[target]
-    better, ties = s < t, s == t
-    if include is not None:
-        better &= include
-        ties &= include
-    # other candidates tied with the target: an excluded target is not counted
-    n_ties = int(np.count_nonzero(ties)) - (include is None or bool(include[target]))
-    return 1 + int(np.count_nonzero(better)) + (n_ties + 1) // 2
+    dropped = s[known[known != target]]
+    # ties counts the target too (unless it is NaN), so ties // 2 is the
+    # mean-rank share of the other tied candidates
+    better, ties = np.count_nonzero(s < t), np.count_nonzero(s == t)
+    raw = 1 + better + ties // 2
+    better -= np.count_nonzero(dropped < t)
+    ties -= np.count_nonzero(dropped == t)
+    return int(raw), int(1 + better + ties // 2)
 
 
 _U = 2.0 ** -24          # float32 unit roundoff: one rounding's relative error
@@ -227,8 +232,8 @@ def _group_ranks(params: ModelParams, index: dict[int, np.ndarray],
     ``position`` of the query that ``entities`` pose there under that
     relation (the entity at ``position`` is not read).  The queries share
     their candidate points, so one ``_candidate_scores`` call scores them
-    all; each query is then ranked from its own score vector and filter
-    mask.  The filter drops the candidates that complete the query into a
+    all; each query is then ranked from its own score vector and known
+    answers.  The filter drops the candidates that complete the query into a
     fact in ``index``, a ``kb.fact_index``.  The scores are ``screen``'s
     float32 ones, with the rows it cannot decide re-scored in float64."""
     all_scores, all_undecided = _candidate_scores(params, entities, position, screen,
@@ -259,10 +264,8 @@ def _group_ranks(params: ModelParams, index: dict[int, np.ndarray],
             ids = np.flatnonzero(undecided)
             scores[ids] = score_point_group(params, [relation.box], entities, position,
                                             ids=ids)[0]
-        include = np.ones(scores.shape[0], dtype=bool)
-        include[known_answers(index, r, entities, position)] = False
-        out.append([(rank_from_scores(scores, t, None),
-                     rank_from_scores(scores, t, include)) for t in query_targets])
+        known = known_answers(index, r, entities, position)
+        out.append([rank_from_scores(scores, t, known) for t in query_targets])
     return out
 
 

@@ -534,16 +534,13 @@ def test_ranking_metric_protocol(capsys):
     for trial in range(500):
         scores = rng.integers(0, 3, size=4).astype(float)  # many ties
         target = int(rng.integers(4))
-        include = rng.random(4) < 0.5
-        raw = rank_from_scores(scores, target)
-        filtered = rank_from_scores(scores, target, include)
+        known = np.flatnonzero(rng.random(4) >= 0.5)
+        raw, filtered = rank_from_scores(scores, target, known)
         if filtered > raw:
             failures.append(f"trial {trial}: filtered {filtered} > raw {raw}")
     # the canonical case: both better-scoring corruptions are known facts
     scores = np.array([3.0, 1.0, 2.0, 4.0])
-    include = np.array([True, False, False, True])
-    if rank_from_scores(scores, 0) != 3 or \
-            rank_from_scores(scores, 0, include) != 1:
+    if rank_from_scores(scores, 0, np.array([1, 2])) != (3, 1):
         failures.append("constructed filtering scenario off")
 
     # end to end on a tiny KB: filtered metrics never worse than raw
@@ -566,10 +563,10 @@ def test_ranking_metric_protocol(capsys):
     for trial in range(200):
         scores = rng.standard_normal(7)
         target = int(rng.integers(7))
-        include = rng.random(7) < 0.7
-        base = rank_from_scores(scores, target, include)
+        known = np.flatnonzero(rng.random(7) >= 0.7)
+        base = rank_from_scores(scores, target, known)
         for transformed in (scores * 4.0, scores / 8.0):
-            if rank_from_scores(transformed, target, include) != base:
+            if rank_from_scores(transformed, target, known) != base:
                 failures.append(f"transform changed rank on trial {trial}")
 
     report(capsys, not failures,

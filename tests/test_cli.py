@@ -680,6 +680,20 @@ def test_fit_exact_failure_exits_1_with_an_error_line(capsys, tmp_path, monkeypa
     assert "error: no exit placement found for fact (0, 0, 1)\n" in err
 
 
+def test_fit_exact_checks_the_output_directory_before_the_fit(capsys, tmp_path,
+                                                               monkeypatch):
+    fits = []
+    monkeypatch.setattr(cli, "fit", fits.append)
+    table = write_lines(tmp_path / "table.txt", [
+        "entities a b", "relation r 2",
+        "r a a 1", "r a b 0", "r b a 1", "r b b 0"])
+    missing = tmp_path / "missing"
+    code, out, err = run_main(capsys, ["fit-exact", table, "--out",
+                                       str(missing / "fit.json")])
+    assert code == 1 and out == "" and fits == []
+    assert err == f"error: output directory not found: {missing}\n"
+
+
 def test_fit_exact_rejects_a_repeated_entity_name(capsys, tmp_path):
     table = write_lines(tmp_path / "table.txt", [
         "entities a b a", "relation r 2",
@@ -840,6 +854,9 @@ def inputs(data):
             "missing": str(tmp / "missing.txt"),
             "rules": write_lines(tmp / "rules.txt", ["symmetry knows"]),
             "bad_rules": write_lines(tmp / "bad.rules", ["hierarchy knows"]),
+            "table": write_lines(tmp / "good.table", [
+                "entities a b", "relation r 2",
+                "r a a 1", "r a b 0", "r b a 1", "r b b 0"]),
             "bad_table": write_lines(tmp / "bad.table", [
                 "entities a b", "relation r 2", "r a 1"]),
             "bad_config": write_lines(tmp / "bad.cfg", ["bogus = 1"]),
@@ -867,6 +884,8 @@ BAD_INPUTS = {
     "rules inject-check rule file": ("rules inject-check --rules {missing}",
                                      "rule file not found: "),
     "truth table": ("fit-exact {missing}", "truth table not found: "),
+    "fit-exact output directory": ("fit-exact {table} --out {missing}/fit.json",
+                                   "output directory not found: "),
     "checkpoint header": ("box-stats --checkpoint {bad_ckpt}",
                           "cannot load checkpoint: "),
     "rule line": ("rules closure --rules {bad_rules}",
@@ -881,6 +900,13 @@ BAD_INPUTS = {
                     "the test split has no facts to rank"),
     "inject-check dimension": ("rules inject-check --rules {rules} --d 0",
                                "d must be at least 1"),
+    # sizes past the address space: numpy fails at once, allocating nothing
+    "train dimension too large": (
+        "train --train {train} --d 100000000000000 --outdir {outdir}",
+        "Unable to allocate "),
+    "inject-check dimension too large": (
+        "rules inject-check --rules {rules} --d 100000000000000",
+        "Unable to allocate "),
     "rule relation name": (
         "rules verify --rules {unknown_rules} --checkpoint {ckpt}",
         "{unknown_rules}:1: unknown relation 'zz'\n"),
@@ -903,6 +929,15 @@ def test_each_bad_input_is_exactly_one_error_line(capsys, inputs, case):
         assert err == f"error: {message}{inputs['missing']}\n"
     # no input error leaves an output directory behind
     assert not (inputs["tmp"] / "out").exists()
+
+
+def test_train_with_too_many_negatives_is_one_error_line(capsys, data):
+    # past the address space, so numpy fails at once and allocates nothing
+    code, out, err = run_main(capsys, train_argv(
+        data, data["tmp"] / "out", ["--negatives", "100000000000000"]))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: Unable to allocate "), err
 
 
 def test_train_with_conflicting_rules_leaves_no_output_directory(capsys, data):

@@ -37,37 +37,39 @@ def small_vocab(n_entities=4, n_relations=1):
 
 # -- rank arithmetic ------------------------------------------------------------
 
+NO_KNOWN = np.empty(0, dtype=np.intp)
+
+
 def test_rank_unique_scores():
     scores = np.array([3.0, 1.0, 2.0, 0.5])
-    assert rank_from_scores(scores, 3) == 1
-    assert rank_from_scores(scores, 1) == 2
-    assert rank_from_scores(scores, 0) == 4
+    assert rank_from_scores(scores, 3, NO_KNOWN) == (1, 1)
+    assert rank_from_scores(scores, 1, NO_KNOWN) == (2, 2)
+    assert rank_from_scores(scores, 0, NO_KNOWN) == (4, 4)
 
 
 def test_rank_mean_tie_policy_rounds_half_up():
     # two-way tie at the top: positions 1 and 2 average to 1.5, rounds to 2
     scores = np.array([1.0, 1.0, 5.0])
-    assert rank_from_scores(scores, 0) == 2
-    assert rank_from_scores(scores, 1) == 2
+    assert rank_from_scores(scores, 0, NO_KNOWN) == (2, 2)
+    assert rank_from_scores(scores, 1, NO_KNOWN) == (2, 2)
     # three-way tie: mean of 1, 2, 3 is exactly 2
     scores = np.array([1.0, 1.0, 1.0, 5.0])
-    assert rank_from_scores(scores, 0) == 2
+    assert rank_from_scores(scores, 0, NO_KNOWN) == (2, 2)
     # five-way tie: mean rank 3
     scores = np.ones(5)
-    assert rank_from_scores(scores, 2) == 3
+    assert rank_from_scores(scores, 2, NO_KNOWN) == (3, 3)
 
 
 def test_rank_excluded_candidates_are_invisible():
     scores = np.array([0.0, 1.0, 2.0, 3.0])
-    include = np.array([False, True, True, True])
-    assert rank_from_scores(scores, 1, include) == 1
-    # the target is always included, even if its mask bit is off
-    include = np.array([False, False, True, True])
-    assert rank_from_scores(scores, 1, include) == 1
+    assert rank_from_scores(scores, 1, np.array([0])) == (2, 1)
+    # the target always counts as itself, even if it is a known answer
+    assert rank_from_scores(scores, 1, np.array([0, 1])) == (2, 1)
 
 
 def rank_with_a_mask(scores, target, include=None):
-    """``rank_from_scores`` as it was when it built a fresh |E| mask."""
+    """The rank of ``scores[target]`` among the candidates ``include`` keeps
+    (all if None), the target always among them, counted on an |E| mask."""
     s = np.asarray(scores, dtype=np.float64)
     mask = np.ones(s.shape[0], dtype=bool) if include is None else include.copy()
     mask[target] = True
@@ -78,23 +80,47 @@ def rank_with_a_mask(scores, target, include=None):
 
 
 def test_rank_counts_without_a_mask_as_with_one():
-    # tie-heavy vectors: a few distinct values, NaN among them, and masks
-    # that drop the target itself or keep it
+    # tie-heavy vectors: a few distinct values, NaN and +-inf among them,
+    # and known answers that hold the target itself, leave it out, or are none
     rng = np.random.default_rng(0)
-    seen_nan_target = seen_dropped_target = 0
+    seen = collections.Counter()
     for _ in range(2000):
         n = int(rng.integers(1, 12))
         scores = rng.choice([0.0, 0.5, 1.0, np.nan, -np.inf, np.inf], n,
                             p=[0.3, 0.2, 0.2, 0.15, 0.05, 0.1])
         target = int(rng.integers(0, n))
         include = rng.random(n) < 0.6
-        seen_nan_target += bool(np.isnan(scores[target]))
-        seen_dropped_target += not include[target]
-        rank = rank_from_scores(scores, target)
-        assert type(rank) is int and rank == rank_with_a_mask(scores, target)
-        assert (rank_from_scores(scores, target, include)
-                == rank_with_a_mask(scores, target, include)), (scores, target, include)
-    assert seen_nan_target > 100 and seen_dropped_target > 500
+        known = np.flatnonzero(~include)
+        seen["nan target"] += bool(np.isnan(scores[target]))
+        seen["inf target"] += bool(np.isinf(scores[target]))
+        seen["known target"] += not include[target]
+        seen["no known"] += known.size == 0
+        ranks = rank_from_scores(scores, target, known)
+        assert all(type(rank) is int for rank in ranks)
+        assert ranks == (rank_with_a_mask(scores, target),
+                         rank_with_a_mask(scores, target, include)), (scores, target, known)
+    assert seen["nan target"] > 100 and seen["inf target"] > 100, seen
+    assert seen["known target"] > 500 and seen["no known"] > 100, seen
+
+
+def test_evaluate_counts_ranks_once_per_ranking(monkeypatch):
+    # a hierarchy KB: queries of several relations share a point group, and
+    # facts that differ only at the ranked position share a query
+    kb, _ = hierarchy_ontology_kb(n_entities=30, leaf_facts=20, ancestor_facts=6, seed=2)
+    params = init_params(kb.vocab, 4, np.random.default_rng(2))
+    keys = query_keys(ranked_facts(kb, "test"))
+    assert len({key[1:] for key in keys}) < len(set(keys)) < len(keys)
+    calls = []
+
+    def counted(scores, target, known):
+        calls.append(target)
+        return rank_from_scores(scores, target, known)
+
+    monkeypatch.setattr(evaluation, "rank_from_scores", counted)
+    for workers in (1, 2):
+        calls.clear()
+        evaluate(params, kb, "test", workers=workers)
+        assert len(calls) == len(keys), workers
 
 
 def test_metrics_anchors():
@@ -111,13 +137,20 @@ def test_metrics_empty_ranks():
         "mr": 0.0, "mrr": 0.0, "hits": {"1": 0.0, "10": 0.0}}
 
 
+def draw_known(data, n):
+    """Distinct candidate ids, drawn from ``data``, as known answers."""
+    return np.array(data.draw(st.lists(st.integers(0, n - 1), unique=True)),
+                    dtype=np.intp)
+
+
 @settings(max_examples=150)
 @given(st.lists(st.floats(0, 100), min_size=2, max_size=20), st.data())
 def test_rank_bounds_property(scores, data):
     s = np.asarray(scores)
     target = data.draw(st.integers(0, len(scores) - 1))
-    r = rank_from_scores(s, target)
-    assert 1 <= r <= len(scores)
+    raw, filtered = rank_from_scores(s, target, draw_known(data, len(scores)))
+    assert 1 <= raw <= len(scores)
+    assert 1 <= filtered <= raw
 
 
 @settings(max_examples=150)
@@ -125,13 +158,15 @@ def test_rank_bounds_property(scores, data):
 def test_rank_monotone_transform_invariance(scores, data):
     s = np.asarray(scores)
     target = data.draw(st.integers(0, len(scores) - 1))
+    known = draw_known(data, len(scores))
     # scaling by a power of two is exact in floating point, so the strict
     # order (and every tie) is preserved without rounding artifacts -- except
     # that dividing a subnormal can round (5e-324 / 8 == 0), so the second
     # identity is checked whenever the division was exact
-    assert rank_from_scores(s, target) == rank_from_scores(4.0 * s, target)
+    ranks = rank_from_scores(s, target, known)
+    assert ranks == rank_from_scores(4.0 * s, target, known)
     if np.array_equal(s / 8.0 * 8.0, s):
-        assert rank_from_scores(s, target) == rank_from_scores(s / 8.0, target)
+        assert ranks == rank_from_scores(s / 8.0, target, known)
 
 
 # -- fact ranking ---------------------------------------------------------------
@@ -196,8 +231,8 @@ def reference_position_ranks(params, kb, fact, position):
         cand[position] = e
         if Fact(fact.relation, tuple(cand)) in kb.known:
             include[e] = False
-    return (rank_from_scores(scores, target, None),
-            rank_from_scores(scores, target, include))
+    return (rank_with_a_mask(scores, target),
+            rank_with_a_mask(scores, target, include))
 
 
 def random_facts(rng, vocab, per_relation):
@@ -397,8 +432,8 @@ def reference_evaluate(params, kb, split, ks=(1, 3, 10)):
                                    fact.entities, position, tables)[0]
         target = fact.entities[position]
         include = ~known_rows(index, fact.relation, rows)
-        return (rank_from_scores(scores, target, None),
-                rank_from_scores(scores, target, include))
+        return (rank_with_a_mask(scores, target),
+                rank_with_a_mask(scores, target, include))
 
     facts = ranked_facts(kb, split)
     per_fact = [[position_ranks(f, p) for p in range(f.arity)] for f in facts]
@@ -499,8 +534,8 @@ def test_evaluate_matches_the_per_fact_reference(case):
 
 
 def test_evaluate_by_small_blocks_equals_the_reference(monkeypatch):
-    # blocks of a few candidates: each query's scores and filter mask are
-    # formed over several blocks, and every rank stays the same
+    # blocks of a few candidates: each query's scores are formed over
+    # several blocks, and every rank stays the same
     kb, _ = hierarchy_ontology_kb(n_entities=30, leaf_facts=20, ancestor_facts=6, seed=2)
     params = init_params(kb.vocab, 4, np.random.default_rng(2))
     expect = reference_evaluate(params, kb, "test")
@@ -721,7 +756,7 @@ def float32_alone_misranks(params, kb):
                     params, [_box_tensors(params, fact.relation, dtype=np.float32)],
                     fact.entities, p, screen.tables)[0]
             expect = reference_position_ranks(params, kb, fact, p)[0]
-            if rank_from_scores(scores, fact.entities[p]) != expect:
+            if rank_with_a_mask(scores, fact.entities[p]) != expect:
                 return True
     return False
 
